@@ -5,13 +5,14 @@
 // the same traffic with the pretrained model forever?
 //
 // Each arm serves `--rounds` rounds of `--frames` night-street frames
-// through the multi-stream runtime with the full video suite (multibox +
-// consistency-generated flicker/appear). The loop arms run one bandit round
-// after each traffic round: candidates come from the live FlagStore, labels
-// from the simulator's ground truth (the "human" of §3) — and in the
-// "bal+weak" arm additionally from consistency corrections at reduced
-// weight (§5.5) — and the fine-tuned model is published to the registry,
-// which serving picks up between batches without pausing ingestion.
+// through a serve::Monitor (`--shards` shards) with the full video suite
+// (multibox + consistency-generated flicker/appear). The loop arms run one
+// bandit round after each traffic round: candidates come from the live
+// FlagStore, labels from the simulator's ground truth (the "human" of §3)
+// — and in the "bal+weak" arm additionally from consistency corrections at
+// reduced weight (§5.5) — and the fine-tuned model is published to the
+// registry, which serving picks up between batches without pausing
+// ingestion.
 //
 // Writes machine-readable results to --json (default BENCH_loop.json).
 #include <chrono>
@@ -29,9 +30,10 @@
 #include "common/table.hpp"
 #include "eval/detection_metrics.hpp"
 #include "loop/improvement_loop.hpp"
-#include "runtime/service.hpp"
+#include "serve/monitor.hpp"
 #include "video/assertions.hpp"
 #include "video/detector.hpp"
+#include "video/factory.hpp"
 #include "video/pipeline.hpp"
 #include "video/world.hpp"
 
@@ -43,7 +45,7 @@ struct BenchConfig {
   std::size_t rounds = 8;
   std::size_t frames_per_round = 250;
   std::size_t budget = 35;
-  std::size_t workers = 2;
+  std::size_t shards = 2;
   std::size_t batch = 25;
   /// Frames served before round 0 so the road reaches steady-state density
   /// and the window primes; excluded from round stats.
@@ -156,7 +158,8 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
   }
 
   loop::ImprovementLoopConfig config;
-  config.assertion_names = {"multibox", "flicker", "appear"};
+  config.assertion_names = {"video/multibox", "video/flicker",
+                            "video/appear"};
   config.store.capacity = 512;
   config.round.budget = bench.budget;
   config.round.min_candidates = 1;
@@ -171,22 +174,29 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
           bandit::BalConfig{}, std::make_unique<bandit::RandomStrategy>()),
       oracle, detector.model(), pretrain);
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = bench.workers;
-  service_config.window = 48;
-  service_config.settle_lag = 8;
-  runtime::MonitorService<video::VideoExample> service(service_config, [] {
-    auto built =
-        std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
-    return runtime::MonitorService<video::VideoExample>::SuiteBundle{
-        std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
-            built, &built->suite),
-        [built] { built->consistency->Invalidate(); }};
-  });
-  service.AddSink(improvement.sink());
+  const auto monitor = std::move(serve::Monitor::Builder()
+                                     .Shards(bench.shards)
+                                     .Window(48)
+                                     .SettleLag(8)
+                                     .Build()
+                                     .value());
+  const serve::Subscription loop_subscription =
+      monitor->Subscribe({}, improvement.sink());
   auto distinct = std::make_shared<DistinctFlaggedSink>();
-  service.AddSink(distinct);
-  const runtime::StreamId id = service.RegisterStream("cam-live");
+  const serve::Subscription distinct_subscription =
+      monitor->Subscribe({}, distinct);
+  const auto suite_factory = serve::EraseSuiteFactory<video::VideoExample>(
+      "video", [] {
+        auto built =
+            std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
+        return runtime::SuiteBundle<video::VideoExample>{
+            std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
+                built, &built->suite),
+            [built] { built->consistency->Invalidate(); }};
+      });
+  const serve::StreamHandle stream =
+      monitor->RegisterStream("video", suite_factory, {.name = "cam-live"})
+          .value();
 
   ArmResult result;
   result.name = name;
@@ -201,7 +211,7 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
   const auto serve = [&](std::size_t count) {
     const std::vector<video::Frame> fresh = world.GenerateFrames(count);
     const auto ingest_begin = Clock::now();
-    std::vector<video::VideoExample> batch;
+    std::vector<serve::AnyExample> batch;
     for (std::size_t i = 0; i < fresh.size(); ++i) {
       if (batch.empty()) {
         const loop::ModelHandle handle = improvement.registry().Current();
@@ -215,13 +225,13 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
                                   detector.Detect(frame)};
       frames.push_back(frame);
       deployed.push_back(example);
-      batch.push_back(std::move(example));
+      batch.push_back(serve::AnyExample::Make(std::move(example)));
       if (batch.size() == bench.batch || i + 1 == fresh.size()) {
-        service.ObserveBatch(id, std::move(batch));
+        monitor->ObserveBatch(stream, std::move(batch)).value();
         batch.clear();
       }
     }
-    service.Flush();
+    monitor->Flush();
     result.ingest_seconds +=
         std::chrono::duration<double>(Clock::now() - ingest_begin).count();
   };
@@ -230,7 +240,7 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
   // round 0 measures the same regime later rounds do.
   serve(bench.warmup_frames);
   {
-    const runtime::MetricsSnapshot snapshot = service.Metrics();
+    const runtime::MetricsSnapshot snapshot = monitor->Metrics();
     events_before = snapshot.events;
     examples_before = snapshot.examples_seen;
     for (const auto& [assertion, cell] : snapshot.assertions) {
@@ -242,7 +252,7 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
   for (std::size_t round = 0; round < bench.rounds; ++round) {
     serve(bench.frames_per_round);
 
-    const runtime::MetricsSnapshot snapshot = service.Metrics();
+    const runtime::MetricsSnapshot snapshot = monitor->Metrics();
     RoundPoint point;
     const std::size_t round_examples =
         snapshot.examples_seen - examples_before;
@@ -267,7 +277,7 @@ ArmResult RunArm(Arm arm, const std::string& name, const BenchConfig& bench) {
       improvement.WaitForRetrains();  // next round serves the new version
     }
   }
-  common::Check(service.Errors().empty(), "loop arm hit ingestion errors");
+  common::Check(monitor->Errors().empty(), "loop arm hit ingestion errors");
   result.examples = examples_before;
   for (const loop::RoundStats& stats : improvement.History()) {
     result.human_labels += stats.human_labels;
@@ -286,7 +296,7 @@ void WriteJson(const std::string& path, const BenchConfig& bench,
       << "  \"rounds\": " << bench.rounds << ",\n"
       << "  \"frames_per_round\": " << bench.frames_per_round << ",\n"
       << "  \"budget_per_round\": " << bench.budget << ",\n"
-      << "  \"workers\": " << bench.workers << ",\n"
+      << "  \"shards\": " << bench.shards << ",\n"
       << "  \"seed\": " << bench.seed << ",\n  \"arms\": [\n";
   for (std::size_t a = 0; a < arms.size(); ++a) {
     const ArmResult& arm = arms[a];
@@ -316,7 +326,7 @@ void WriteJson(const std::string& path, const BenchConfig& bench,
 
 int main(int argc, char** argv) {
   const auto flags = common::Flags::Parse(argc, argv);
-  flags.CheckAllowed({"rounds", "frames", "budget", "workers", "batch",
+  flags.CheckAllowed({"rounds", "frames", "budget", "shards", "batch",
                       "warmup", "seed", "json"});
   BenchConfig bench;
   bench.rounds = static_cast<std::size_t>(flags.GetInt("rounds", 8));
@@ -325,7 +335,7 @@ int main(int argc, char** argv) {
   bench.budget = static_cast<std::size_t>(flags.GetInt("budget", 35));
   bench.warmup_frames =
       static_cast<std::size_t>(flags.GetInt("warmup", 60));
-  bench.workers = static_cast<std::size_t>(flags.GetInt("workers", 2));
+  bench.shards = static_cast<std::size_t>(flags.GetInt("shards", 2));
   bench.batch = static_cast<std::size_t>(flags.GetInt("batch", 25));
   bench.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const std::string json_path = flags.GetString("json", "BENCH_loop.json");
@@ -354,9 +364,9 @@ int main(int argc, char** argv) {
       table.AddRow({r == 0 ? arm.name : "", std::to_string(r),
                     common::FormatDouble(point.flagged_rate, 3),
                     common::FormatDouble(point.events_per_example, 3),
-                    std::to_string(by(point, "multibox")),
-                    std::to_string(by(point, "flicker")),
-                    std::to_string(by(point, "appear")),
+                    std::to_string(by(point, "video/multibox")),
+                    std::to_string(by(point, "video/flicker")),
+                    std::to_string(by(point, "video/appear")),
                     std::to_string(point.model_version),
                     common::FormatDouble(point.test_map, 3)});
     }

@@ -9,6 +9,10 @@
 //   * ecg: patient records through the 30 s "ECG" assertion; BAL falls back
 //     to uncertainty sampling fed by live model confidences.
 //
+// Each domain serves through a serve::Monitor; the loop's collector sink is
+// a subscription, so it sees the monitor's domain-qualified assertion names
+// ("video/multibox", "ecg/ECG").
+//
 // Build & run:  ./examples/improvement_loop [--rounds N] [--seed N]
 #include <iostream>
 #include <memory>
@@ -22,16 +26,29 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "ecg/ecg.hpp"
+#include "ecg/factory.hpp"
 #include "loop/improvement_loop.hpp"
-#include "runtime/service.hpp"
+#include "serve/monitor.hpp"
 #include "video/assertions.hpp"
 #include "video/detector.hpp"
+#include "video/factory.hpp"
 #include "video/pipeline.hpp"
 #include "video/world.hpp"
 
 namespace {
 
 using namespace omg;
+
+/// A serve::Monitor with the loop's serving geometry: two shards, the
+/// given window, verdicts settled 8 examples behind the head.
+std::unique_ptr<serve::Monitor> BuildMonitor(std::size_t window) {
+  return std::move(serve::Monitor::Builder()
+                       .Shards(2)
+                       .Window(window)
+                       .SettleLag(8)
+                       .Build()
+                       .value());
+}
 
 void PrintRounds(const std::string& domain,
                  const std::vector<std::string>& assertions,
@@ -97,7 +114,8 @@ void RunVideoLoop(std::size_t rounds, std::uint64_t seed) {
       /*weak_weight=*/0.25);
 
   loop::ImprovementLoopConfig config;
-  config.assertion_names = {"multibox", "flicker", "appear"};
+  config.assertion_names = {"video/multibox", "video/flicker",
+                            "video/appear"};
   config.round.budget = 30;
   config.retrain.sgd = video::DetectorConfig{}.finetune_sgd;
   config.retrain.sgd.epochs = 20;
@@ -110,20 +128,21 @@ void RunVideoLoop(std::size_t rounds, std::uint64_t seed) {
       std::make_shared<loop::MixedOracle>(human, weak), detector.model(),
       pretrain);
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
-  service_config.window = 48;
-  service_config.settle_lag = 8;
-  runtime::MonitorService<video::VideoExample> service(service_config, [] {
-    auto built =
-        std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
-    return runtime::MonitorService<video::VideoExample>::SuiteBundle{
-        std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
-            built, &built->suite),
-        [built] { built->consistency->Invalidate(); }};
-  });
-  service.AddSink(improvement.sink());
-  const runtime::StreamId id = service.RegisterStream("cam-live");
+  const auto monitor = BuildMonitor(48);
+  const serve::Subscription subscription =
+      monitor->Subscribe({}, improvement.sink());
+  const auto suite_factory = serve::EraseSuiteFactory<video::VideoExample>(
+      "video", [] {
+        auto built =
+            std::make_shared<video::VideoSuite>(video::BuildVideoSuite());
+        return runtime::SuiteBundle<video::VideoExample>{
+            std::shared_ptr<core::AssertionSuite<video::VideoExample>>(
+                built, &built->suite),
+            [built] { built->consistency->Invalidate(); }};
+      });
+  const serve::StreamHandle stream =
+      monitor->RegisterStream("video", suite_factory, {.name = "cam-live"})
+          .value();
 
   std::uint64_t served_version = 0;
   std::size_t events_before = 0;
@@ -131,7 +150,7 @@ void RunVideoLoop(std::size_t rounds, std::uint64_t seed) {
   std::vector<double> flagged_rates;
   std::vector<std::optional<loop::RoundStats>> round_stats;
   for (std::size_t round = 0; round < rounds; ++round) {
-    std::vector<video::VideoExample> batch;
+    std::vector<serve::AnyExample> batch;
     for (const video::Frame& frame : world.GenerateFrames(kFramesPerRound)) {
       if (batch.empty()) {  // hot-swap pickup point, between batches
         const loop::ModelHandle handle = improvement.registry().Current();
@@ -144,16 +163,16 @@ void RunVideoLoop(std::size_t rounds, std::uint64_t seed) {
                                   detector.Detect(frame)};
       frames.push_back(frame);
       deployed.push_back(example);
-      batch.push_back(std::move(example));
+      batch.push_back(serve::AnyExample::Make(std::move(example)));
       if (batch.size() == kBatch) {
-        service.ObserveBatch(id, std::move(batch));
+        monitor->ObserveBatch(stream, std::move(batch)).value();
         batch.clear();
       }
     }
-    if (!batch.empty()) service.ObserveBatch(id, std::move(batch));
-    service.Flush();
+    if (!batch.empty()) monitor->ObserveBatch(stream, std::move(batch)).value();
+    monitor->Flush();
 
-    const runtime::MetricsSnapshot snapshot = service.Metrics();
+    const runtime::MetricsSnapshot snapshot = monitor->Metrics();
     flagged_rates.push_back(
         static_cast<double>(snapshot.events - events_before) /
         static_cast<double>(snapshot.examples_seen - examples_before));
@@ -164,7 +183,7 @@ void RunVideoLoop(std::size_t rounds, std::uint64_t seed) {
     improvement.WaitForRetrains();
   }
   PrintRounds("video", config.assertion_names, round_stats, flagged_rates,
-              service.Metrics());
+              monitor->Metrics());
 }
 
 /// ECG: BAL with an uncertainty fallback fed by live model confidences.
@@ -189,7 +208,7 @@ void RunEcgLoop(std::size_t rounds, std::uint64_t seed) {
       });
 
   loop::ImprovementLoopConfig config;
-  config.assertion_names = {"ECG"};
+  config.assertion_names = {"ecg/ECG"};
   config.round.budget = 20;
   config.retrain.sgd = ecg::EcgClassifierConfig{}.finetune_sgd;
   config.retrain.sgd.epochs = 20;
@@ -212,19 +231,20 @@ void RunEcgLoop(std::size_t rounds, std::uint64_t seed) {
         return confidences;
       });
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
-  service_config.window = 80;
-  service_config.settle_lag = 8;
-  runtime::MonitorService<ecg::EcgExample> service(service_config, [] {
-    auto built = std::make_shared<ecg::EcgSuite>(ecg::BuildEcgSuite());
-    return runtime::MonitorService<ecg::EcgExample>::SuiteBundle{
-        std::shared_ptr<core::AssertionSuite<ecg::EcgExample>>(
-            built, &built->suite),
-        [built] { built->consistency->Invalidate(); }};
-  });
-  service.AddSink(improvement.sink());
-  const runtime::StreamId id = service.RegisterStream("icu-live");
+  const auto monitor = BuildMonitor(80);
+  const serve::Subscription subscription =
+      monitor->Subscribe({}, improvement.sink());
+  const auto suite_factory = serve::EraseSuiteFactory<ecg::EcgExample>(
+      "ecg", [] {
+        auto built = std::make_shared<ecg::EcgSuite>(ecg::BuildEcgSuite());
+        return runtime::SuiteBundle<ecg::EcgExample>{
+            std::shared_ptr<core::AssertionSuite<ecg::EcgExample>>(
+                built, &built->suite),
+            [built] { built->consistency->Invalidate(); }};
+      });
+  const serve::StreamHandle stream =
+      monitor->RegisterStream("ecg", suite_factory, {.name = "icu-live"})
+          .value();
 
   std::uint64_t served_version = 0;
   std::size_t events_before = 0;
@@ -239,17 +259,17 @@ void RunEcgLoop(std::size_t rounds, std::uint64_t seed) {
         classifier.SetModel(*handle.model);
         served_version = handle.version;
       }
-      std::vector<ecg::EcgExample> batch;
+      std::vector<serve::AnyExample> batch;
       for (const ecg::EcgWindow& window : generator.GenerateRecords(1)) {
-        batch.push_back({window.record, window.timestamp,
-                         classifier.Predict(window)});
+        batch.push_back(serve::AnyExample::Make(ecg::EcgExample{
+            window.record, window.timestamp, classifier.Predict(window)}));
         windows.push_back(window);
       }
-      service.ObserveBatch(id, std::move(batch));
+      monitor->ObserveBatch(stream, std::move(batch)).value();
     }
-    service.Flush();
+    monitor->Flush();
 
-    const runtime::MetricsSnapshot snapshot = service.Metrics();
+    const runtime::MetricsSnapshot snapshot = monitor->Metrics();
     flagged_rates.push_back(
         static_cast<double>(snapshot.events - events_before) /
         static_cast<double>(snapshot.examples_seen - examples_before));
@@ -260,7 +280,7 @@ void RunEcgLoop(std::size_t rounds, std::uint64_t seed) {
     improvement.WaitForRetrains();
   }
   PrintRounds("ecg", config.assertion_names, round_stats, flagged_rates,
-              service.Metrics());
+              monitor->Metrics());
 }
 
 }  // namespace

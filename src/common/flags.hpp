@@ -25,7 +25,7 @@ class Flags {
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
 
-  /// Comma-separated integer list (`--workers 1,2,4`); a single integer is
+  /// Comma-separated integer list (`--shards 1,2,4`); a single integer is
   /// a one-element list. Benches use this to sweep configurations.
   std::vector<std::int64_t> GetIntList(
       const std::string& name, std::vector<std::int64_t> fallback) const;

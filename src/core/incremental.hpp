@@ -39,9 +39,9 @@ namespace omg::core {
 
 /// Incremental evaluator over one stream's sliding window.
 ///
-/// Not thread-safe: the serving runtime (runtime/service.hpp) pins each
-/// evaluator to one shard worker; standalone users (StreamingMonitor) are
-/// single-threaded.
+/// Not thread-safe: the serving runtime (runtime/sharded_service.hpp) lets
+/// at most one shard worker drive a stream's evaluator at a time;
+/// standalone users (StreamingMonitor) are single-threaded.
 template <typename Example>
 class IncrementalWindowEvaluator {
  public:

@@ -14,7 +14,7 @@
 // assertions without a declared radius — e.g. consistency-generated ones —
 // re-score the whole window as the seed monitor did. For the multi-stream,
 // multi-threaded serving runtime built on the same evaluator, see
-// runtime/service.hpp.
+// serve/monitor.hpp.
 #pragma once
 
 #include <functional>

@@ -1,11 +1,11 @@
 // EventSink bridging the serving runtime into the improvement loop.
 //
-// Plugged into a MonitorService or ShardedMonitorService via AddSink, the
-// collector turns every assertion firing into a FlagStore record: the
-// event's (stream, example) identity becomes the candidate key and the
-// assertion name is mapped to its severity-matrix column. This is the arrow
-// from "monitoring" to "improvement" in the paper's Figure 1, realised as a
-// runtime component instead of an offline export.
+// Subscribed to a serve::Monitor (or added to a ShardedMonitorService via
+// AddSink), the collector turns every assertion firing into a FlagStore
+// record: the event's (stream, example) identity becomes the candidate key
+// and the assertion name is mapped to its severity-matrix column. This is
+// the arrow from "monitoring" to "improvement" in the paper's Figure 1,
+// realised as a runtime component instead of an offline export.
 //
 // Overload safety: Consume runs on the serving shard workers, so it must
 // never become the slow consumer that backs the whole service up. Every

@@ -4,8 +4,8 @@
 // collected" before each bandit round (§3); at serving scale that set is not
 // a benchmark pool but whatever the runtime flagged recently. The FlagStore
 // is that set: a thread-safe, capacity-bounded pool of flagged candidates
-// fed by a FlagCollectorSink (flag_collector.hpp) hanging off the
-// MonitorService, and snapshotted by the RoundScheduler into the
+// fed by a FlagCollectorSink (flag_collector.hpp) subscribed to the
+// serving monitor, and snapshotted by the RoundScheduler into the
 // bandit::RoundContext a SelectionStrategy expects.
 //
 // Capacity policy: when full, admission competes on severity rank — the

@@ -3,7 +3,7 @@
 //
 //           ┌──────────────────────────────────────────────────┐
 //           ▼                                                  │
-//   MonitorService ──events──► FlagCollectorSink ──► FlagStore │
+//   serve::Monitor ──events──► FlagCollectorSink ──► FlagStore │
 //   (runtime traffic)                                   │      │
 //           ▲                              snapshot per round  │
 //           │                                           ▼      │
@@ -11,12 +11,13 @@
 //   (hot-swapped versions)     (background      (SelectionStrategy
 //                               fine-tune)       + LabelOracle)
 //
-// ImprovementLoop owns everything to the right of the service: plug sink()
-// into a MonitorService, serve traffic scored with registry().Current(),
-// and run rounds (manually or on a timer). Selected candidates are labeled
-// by the oracle (human ground truth, consistency weak labels, or both),
-// fine-tuned into a new model version on a background thread, and picked up
-// by serving between batches — ingestion never pauses.
+// ImprovementLoop owns everything to the right of the monitor: Subscribe
+// sink() to the serve::Monitor, serve traffic scored with
+// registry().Current(), and run rounds (manually or on a timer). Selected
+// candidates are labeled by the oracle (human ground truth, consistency
+// weak labels, or both), fine-tuned into a new model version on a
+// background thread, and picked up by serving between batches — ingestion
+// never pauses.
 #pragma once
 
 #include <chrono>
@@ -64,7 +65,7 @@ class ImprovementLoop {
                   nn::Dataset replay = {},
                   RoundScheduler::ConfidenceFn confidences = {});
 
-  /// The EventSink to AddSink into the MonitorService serving the traffic.
+  /// The EventSink to Subscribe to the serve::Monitor serving the traffic.
   std::shared_ptr<runtime::EventSink> sink() const { return sink_; }
 
   /// The hot-swap registry serving reads its model handles from.

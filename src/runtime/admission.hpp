@@ -58,7 +58,8 @@ struct ShardedRuntimeConfig {
   /// Sliding-window length per stream (examples assertions can see).
   std::size_t window = 64;
   /// How far behind the stream head an example must be before its verdict
-  /// is emitted; must stay below `window` (see RuntimeConfig::settle_lag).
+  /// is emitted; must exceed every bounded assertion's temporal radius for
+  /// verdicts to be final, and must stay below `window`.
   std::size_t settle_lag = 8;
   /// Maximum examples queued per shard (summed over queued batches). A
   /// single batch larger than this is rejected outright.

@@ -71,11 +71,7 @@ LatencyHistogram MetricsSnapshot::MergedLatency() const {
   return merged;
 }
 
-MetricsRegistry::MetricsRegistry() : sharded_(false) {
-  cells_.push_back(std::make_unique<Cell>());
-}
-
-MetricsRegistry::MetricsRegistry(std::size_t shards) : sharded_(true) {
+MetricsRegistry::MetricsRegistry(std::size_t shards) {
   common::Check(shards >= 1, "metrics registry needs at least one shard");
   cells_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -89,7 +85,6 @@ MetricsRegistry::Cell& MetricsRegistry::CellOf(StreamId id) {
 }
 
 MetricsRegistry::Cell& MetricsRegistry::ShardCell(std::size_t shard) {
-  common::Check(sharded_, "shard counters need a sharded MetricsRegistry");
   common::CheckIndex(static_cast<std::ptrdiff_t>(shard), 0,
                      static_cast<std::ptrdiff_t>(cells_.size()),
                      "metrics shard index");
@@ -126,15 +121,6 @@ void FoldBatch(StreamMetrics& stream, std::size_t examples,
 
 }  // namespace
 
-void MetricsRegistry::RecordBatch(StreamId id, std::size_t examples,
-                                  std::span<const StreamEvent> events) {
-  Cell& cell = CellOf(id);
-  MutexLock lock(cell.mutex);
-  const auto it = cell.streams.find(id);
-  common::Check(it != cell.streams.end(), "metrics stream id not registered");
-  FoldBatch(it->second, examples, events);
-}
-
 void MetricsRegistry::RecordScoredBatch(StreamId id, std::size_t shard,
                                         std::size_t examples,
                                         std::span<const StreamEvent> events,
@@ -170,17 +156,6 @@ void MetricsRegistry::RecordError(std::size_t shard, std::size_t batches,
   cell.shard.queue_wait_ns += queue_wait_ns;
   cell.shard.busy_ns += busy_ns;
   cell.shard.idle_ns += idle_ns;
-}
-
-void MetricsRegistry::RecordShardBatch(std::size_t shard, std::size_t examples,
-                                       std::size_t events,
-                                       double latency_seconds) {
-  Cell& cell = ShardCell(shard);
-  MutexLock lock(cell.mutex);
-  ++cell.shard.batches;
-  cell.shard.examples += examples;
-  cell.shard.events += events;
-  cell.shard.latency.Record(latency_seconds);
 }
 
 void MetricsRegistry::RecordLoss(std::size_t shard, std::size_t batches,
@@ -238,7 +213,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       max_id = std::max(max_id, id);
       any_stream = true;
     }
-    if (sharded_) snapshot.shards.push_back(cell->shard);
+    snapshot.shards.push_back(cell->shard);
   }
   if (any_stream) snapshot.streams.resize(max_id + 1);
   for (StreamMetrics& stream : collected) {

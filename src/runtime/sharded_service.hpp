@@ -1,10 +1,8 @@
-// The sharded, backpressure-aware serving fast path.
+// The sharded, backpressure-aware serving engine behind serve::Monitor.
 //
-// MonitorService (service.hpp) funnels every stream through one ThreadPool
-// with unbounded FIFO queues and a shared stream table — fine for
-// benchmarks, fatal under sustained overload: memory grows without bound
-// and every Observe crosses a service-wide mutex. ShardedMonitorService
-// rebuilds the hot path for that regime:
+// Every stream is served by one shard worker fed by a bounded queue, so
+// sustained overload degrades by a counted admission policy instead of by
+// unbounded memory growth, and no Observe crosses a service-wide mutex:
 //
 //   producers ──ObserveBatch──► bounded MPSC queue ─► shard worker 0
 //              (admission policy:  bounded MPSC queue ─► shard worker 1
@@ -67,7 +65,6 @@
 #include "obs/tracer.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/event_sink.hpp"
-#include "runtime/incremental.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/stream_registry.hpp"
 #include "runtime/suite_bundle.hpp"
@@ -84,8 +81,8 @@ namespace omg::runtime {
 template <typename Example>
 class ShardedMonitorService {
  public:
-  /// One stream's private suite plus its invalidation hook (shared with
-  /// MonitorService — see runtime/suite_bundle.hpp).
+  /// One stream's private suite plus its invalidation hook (see
+  /// runtime/suite_bundle.hpp).
   using SuiteBundle = runtime::SuiteBundle<Example>;
   /// Builds one stream's SuiteBundle; called once per RegisterStream.
   using SuiteFactory = runtime::SuiteFactory<Example>;

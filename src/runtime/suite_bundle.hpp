@@ -1,10 +1,10 @@
-// The per-stream suite handle shared by both serving services.
+// The per-stream suite handle of the serving runtime.
 //
 // Suites are stateful (consistency assertions memoise analyses), so every
 // registered stream gets its own instance from a factory; the bundle pairs
-// the suite with the invalidation hook its unbounded assertions need. Both
-// MonitorService and ShardedMonitorService alias these types, so factories
-// written for one service plug into the other unchanged.
+// the suite with the invalidation hook its unbounded assertions need.
+// ShardedMonitorService aliases these types, and serve::EraseSuiteFactory
+// turns a typed factory into the facade's erased one.
 //
 // A bundle may additionally carry a StreamScorer factory: the scorer owns
 // the stream's window evaluation, and a custom one can evaluate in a

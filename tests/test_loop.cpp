@@ -24,7 +24,7 @@
 #include "loop/improvement_loop.hpp"
 #include "nn/mlp.hpp"
 #include "nn/trainer.hpp"
-#include "runtime/service.hpp"
+#include "runtime/sharded_service.hpp"
 
 namespace omg::loop {
 namespace {
@@ -333,16 +333,16 @@ TEST(RetrainWorker, HotSwapsWhileIngestionContinues) {
   struct Tick {
     double value = 0.0;
   };
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
+  runtime::ShardedRuntimeConfig service_config;
+  service_config.shards = 2;
   service_config.window = 8;
   service_config.settle_lag = 1;
-  runtime::MonitorService<Tick> service(service_config, [] {
+  runtime::ShardedMonitorService<Tick> service(service_config, [] {
     auto suite = std::make_shared<core::AssertionSuite<Tick>>();
     suite->AddPointwise("positive", [](const Tick& tick) {
       return tick.value > 0.0 ? tick.value : 0.0;
     });
-    return runtime::MonitorService<Tick>::SuiteBundle{suite, {}};
+    return runtime::ShardedMonitorService<Tick>::SuiteBundle{suite, {}};
   });
   const runtime::StreamId id = service.RegisterStream("live");
 
@@ -351,7 +351,7 @@ TEST(RetrainWorker, HotSwapsWhileIngestionContinues) {
 
   // Retrain is in flight and paused; ingestion keeps moving regardless.
   for (int batch = 0; batch < 5; ++batch) {
-    service.ObserveBatch(id, {Tick{1.0}, Tick{-1.0}, Tick{2.0}});
+    EXPECT_TRUE(service.ObserveBatch(id, {Tick{1.0}, Tick{-1.0}, Tick{2.0}}));
     service.Flush();
   }
   EXPECT_EQ(service.Metrics().examples_seen, 15u);
@@ -451,18 +451,18 @@ TEST(ImprovementLoop, ReducesFlaggedRateAcrossLiveBalRounds) {
           bandit::BalConfig{}, std::make_unique<bandit::RandomStrategy>()),
       oracle, PretrainCorrupted(5));
 
-  runtime::RuntimeConfig service_config;
-  service_config.workers = 2;
+  runtime::ShardedRuntimeConfig service_config;
+  service_config.shards = 2;
   service_config.window = 16;
   service_config.settle_lag = 1;
-  runtime::MonitorService<Point> service(service_config, [] {
+  runtime::ShardedMonitorService<Point> service(service_config, [] {
     auto suite = std::make_shared<core::AssertionSuite<Point>>();
     suite->AddPointwise("disagree", [](const Point& point) {
       const bool truth = TrueClass(point.features);
       const bool agree = (point.predicted == 1) == truth;
       return agree ? 0.0 : 0.5 + std::abs(point.features[0]);
     });
-    return runtime::MonitorService<Point>::SuiteBundle{suite, {}};
+    return runtime::ShardedMonitorService<Point>::SuiteBundle{suite, {}};
   });
   service.AddSink(loop.sink());
   const runtime::StreamId id = service.RegisterStream("live");
@@ -487,7 +487,7 @@ TEST(ImprovementLoop, ReducesFlaggedRateAcrossLiveBalRounds) {
       points.push_back(point);
       batch.push_back(std::move(point));
     }
-    service.ObserveBatch(id, std::move(batch));
+    EXPECT_TRUE(service.ObserveBatch(id, std::move(batch)));
     service.Flush();
 
     const runtime::MetricsSnapshot snapshot = service.Metrics();

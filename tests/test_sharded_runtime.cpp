@@ -8,8 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -38,7 +40,10 @@ std::vector<Tick> MakeStream(std::uint64_t seed, std::size_t n) {
   return stream;
 }
 
-void PopulateSuite(core::AssertionSuite<Tick>& suite) {
+/// Pointwise + radius-1 assertions; `with_unbounded` adds a whole-window
+/// column with no declared radius.
+void PopulateSuite(core::AssertionSuite<Tick>& suite,
+                   bool with_unbounded = false) {
   suite.AddPointwise("positive",
                      [](const Tick& t) { return t.value > 1.0 ? t.value : 0.0; });
   suite.AddFunction(
@@ -51,14 +56,32 @@ void PopulateSuite(core::AssertionSuite<Tick>& suite) {
         return severities;
       },
       /*temporal_radius=*/1);
+  if (with_unbounded) {
+    // Unbounded but *append-stable*: example i's score depends on the whole
+    // prefix [0, i] and never changes as later examples arrive, so settled
+    // streaming verdicts match CheckAll while the window spans the stream.
+    suite.AddFunction("above-prefix-mean", [](std::span<const Tick> stream) {
+      std::vector<double> severities(stream.size(), 0.0);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        sum += stream[i].value;
+        const double mean = sum / static_cast<double>(i + 1);
+        if (stream[i].value > mean + 1.0) severities[i] = 1.0;
+      }
+      return severities;
+    });
+  }
 }
 
 using Firing = std::tuple<std::size_t, std::string, double>;
 
+/// The CheckAll oracle: batch firings of examples old enough to have
+/// settled.
 std::vector<Firing> SettledBatchFirings(std::span<const Tick> stream,
-                                        std::size_t settle_lag) {
+                                        std::size_t settle_lag,
+                                        bool with_unbounded = false) {
   core::AssertionSuite<Tick> suite;
-  PopulateSuite(suite);
+  PopulateSuite(suite, with_unbounded);
   const core::SeverityMatrix matrix = suite.CheckAll(stream);
   const auto names = suite.Names();
   std::vector<Firing> firings;
@@ -165,60 +188,75 @@ TEST(ShardedService, StreamingEqualsBatchAcrossShardCountsAndBatchSizes) {
   const std::size_t settle_lag = 4;
 
   std::vector<std::vector<Tick>> streams;
-  std::vector<std::vector<Firing>> expected;
   for (std::size_t s = 0; s < kStreams; ++s) {
     streams.push_back(MakeStream(100 + s, n));
-    expected.push_back(SettledBatchFirings(streams[s], settle_lag));
   }
 
-  for (const std::size_t shards : {1ul, 2ul, 4ul}) {
-    for (const std::size_t batch_size : {1ul, 17ul, 64ul}) {
-      ShardedRuntimeConfig config;
-      config.shards = shards;
-      config.window = 32;
-      config.settle_lag = settle_lag;
-      ShardedMonitorService<Tick> service(config, MakeBundle);
-      auto sink = std::make_shared<CollectingSink>();
-      service.AddSink(sink);
+  for (const bool with_unbounded : {false, true}) {
+    // The unbounded column re-scores the whole window, so it matches the
+    // CheckAll oracle only when the window spans the entire stream.
+    const std::size_t window = with_unbounded ? n + 8 : 32;
+    std::vector<std::vector<Firing>> expected;
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      expected.push_back(
+          SettledBatchFirings(streams[s], settle_lag, with_unbounded));
+    }
+    for (const std::size_t shards : {1ul, 2ul, 4ul}) {
+      for (const std::size_t batch_size : {1ul, 17ul, 64ul}) {
+        ShardedRuntimeConfig config;
+        config.shards = shards;
+        config.window = window;
+        config.settle_lag = settle_lag;
+        ShardedMonitorService<Tick> service(config, [with_unbounded] {
+          auto suite = std::make_shared<core::AssertionSuite<Tick>>();
+          PopulateSuite(*suite, with_unbounded);
+          return ShardedMonitorService<Tick>::SuiteBundle{suite, {}};
+        });
+        auto sink = std::make_shared<CollectingSink>();
+        service.AddSink(sink);
 
-      std::vector<StreamId> ids;
-      for (std::size_t s = 0; s < kStreams; ++s) {
-        ids.push_back(service.RegisterStream("stream-" + std::to_string(s)));
-      }
-      for (std::size_t begin = 0; begin < n; begin += batch_size) {
-        const std::size_t count = std::min(batch_size, n - begin);
+        std::vector<StreamId> ids;
         for (std::size_t s = 0; s < kStreams; ++s) {
-          EXPECT_TRUE(service.ObserveBatch(
-              ids[s], std::vector<Tick>(streams[s].begin() + begin,
-                                        streams[s].begin() + begin + count)));
+          ids.push_back(
+              service.RegisterStream("stream-" + std::to_string(s)));
         }
-      }
-      service.Flush();
-      EXPECT_TRUE(service.Errors().empty());
+        for (std::size_t begin = 0; begin < n; begin += batch_size) {
+          const std::size_t count = std::min(batch_size, n - begin);
+          for (std::size_t s = 0; s < kStreams; ++s) {
+            EXPECT_TRUE(service.ObserveBatch(
+                ids[s],
+                std::vector<Tick>(streams[s].begin() + begin,
+                                  streams[s].begin() + begin + count)));
+          }
+        }
+        service.Flush();
+        EXPECT_TRUE(service.Errors().empty());
 
-      const auto events = sink->Events();
-      for (std::size_t s = 0; s < kStreams; ++s) {
-        EXPECT_EQ(StreamFirings(events, "stream-" + std::to_string(s)),
-                  expected[s])
-            << "shards=" << shards << " batch=" << batch_size;
+        const auto events = sink->Events();
+        for (std::size_t s = 0; s < kStreams; ++s) {
+          EXPECT_EQ(StreamFirings(events, "stream-" + std::to_string(s)),
+                    expected[s])
+              << "unbounded=" << with_unbounded << " shards=" << shards
+              << " batch=" << batch_size;
+        }
+        const MetricsSnapshot snapshot = service.Metrics();
+        EXPECT_EQ(snapshot.examples_seen, n * kStreams);
+        EXPECT_EQ(snapshot.events, events.size());
+        // Per-shard accounting covers exactly the ingested traffic.
+        ASSERT_EQ(snapshot.shards.size(), shards);
+        std::size_t shard_examples = 0;
+        std::size_t shard_batches = 0;
+        for (const ShardMetrics& shard : snapshot.shards) {
+          shard_examples += shard.examples;
+          shard_batches += shard.batches;
+          EXPECT_EQ(shard.latency.count(), shard.batches);
+          EXPECT_EQ(shard.dropped_examples, 0u);
+          EXPECT_EQ(shard.shed_examples, 0u);
+          EXPECT_LE(shard.queue_depth_peak, config.queue_capacity);
+        }
+        EXPECT_EQ(shard_examples, n * kStreams);
+        EXPECT_GE(shard_batches, shards == 1 ? 1u : 2u);
       }
-      const MetricsSnapshot snapshot = service.Metrics();
-      EXPECT_EQ(snapshot.examples_seen, n * kStreams);
-      EXPECT_EQ(snapshot.events, events.size());
-      // Per-shard accounting covers exactly the ingested traffic.
-      ASSERT_EQ(snapshot.shards.size(), shards);
-      std::size_t shard_examples = 0;
-      std::size_t shard_batches = 0;
-      for (const ShardMetrics& shard : snapshot.shards) {
-        shard_examples += shard.examples;
-        shard_batches += shard.batches;
-        EXPECT_EQ(shard.latency.count(), shard.batches);
-        EXPECT_EQ(shard.dropped_examples, 0u);
-        EXPECT_EQ(shard.shed_examples, 0u);
-        EXPECT_LE(shard.queue_depth_peak, config.queue_capacity);
-      }
-      EXPECT_EQ(shard_examples, n * kStreams);
-      EXPECT_GE(shard_batches, shards == 1 ? 1u : 2u);
     }
   }
 }
@@ -482,12 +520,24 @@ TEST(ShardedService, ValidatesConfigAndInputs) {
   } catch (const common::CheckError& error) {
     EXPECT_NE(std::string(error.what()).find("shards must be >= 1"),
               std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("deadlock"), std::string::npos);
   }
   bad = {};
   bad.queue_capacity = 0;
   EXPECT_THROW(ShardedMonitorService<Tick>(bad, make), common::CheckError);
   bad = {};
-  bad.settle_lag = bad.window;
+  bad.settle_lag = bad.window;  // verdicts could never settle
+  try {
+    ShardedMonitorService<Tick> service(bad, make);
+    FAIL() << "settle_lag >= window must be rejected";
+  } catch (const common::CheckError& error) {
+    EXPECT_NE(std::string(error.what()).find("settle_lag must be < window"),
+              std::string::npos);
+  }
+  bad.settle_lag = bad.window + 1;
+  EXPECT_THROW(ShardedMonitorService<Tick>(bad, make), common::CheckError);
+  bad = {};
+  bad.window = 0;
   EXPECT_THROW(ShardedMonitorService<Tick>(bad, make), common::CheckError);
   bad = {};
   bad.shed_floor = -1.0;
@@ -501,18 +551,91 @@ TEST(ShardedService, ValidatesConfigAndInputs) {
   const StreamId id = service.RegisterStream("s");
   EXPECT_THROW(service.ObserveBatch(id, std::vector<Tick>(5)),
                common::CheckError);  // batch larger than the queue
+
+  // A duplicate stream name is rejected without corrupting the service:
+  // the original stream keeps ingesting and new names still register.
+  EXPECT_THROW(service.RegisterStream("s"), common::CheckError);
+  const StreamId other = service.RegisterStream("t");
+  EXPECT_NE(id, other);
+  EXPECT_TRUE(service.ObserveBatch(id, {Tick{0.1}, Tick{0.2}}));
+  EXPECT_TRUE(service.ObserveBatch(other, {Tick{0.3}}));
+  service.Flush();
+  EXPECT_TRUE(service.Errors().empty());
+  const MetricsSnapshot snapshot = service.Metrics();
+  EXPECT_EQ(snapshot.streams.at(id).examples_seen, 2u);
+  EXPECT_EQ(snapshot.streams.at(other).examples_seen, 1u);
 }
 
 TEST(AdmissionPolicyNames, RoundTrip) {
-  for (const AdmissionPolicy policy :
-       {AdmissionPolicy::kBlock, AdmissionPolicy::kDropOldest,
-        AdmissionPolicy::kShedBelowSeverity}) {
-    EXPECT_EQ(ParseAdmissionPolicy(AdmissionPolicyName(policy)), policy);
+  // The names are the `[admission] policy` config vocabulary.
+  const std::pair<AdmissionPolicy, std::string_view> kNames[] = {
+      {AdmissionPolicy::kBlock, "block"},
+      {AdmissionPolicy::kDropOldest, "drop_oldest"},
+      {AdmissionPolicy::kShedBelowSeverity, "shed_below_severity"},
+      {AdmissionPolicy::kLatencyTarget, "latency_target"},
+  };
+  for (const auto& [policy, name] : kNames) {
+    EXPECT_EQ(AdmissionPolicyName(policy), name);
+    EXPECT_EQ(ParseAdmissionPolicy(name), policy);
   }
   EXPECT_THROW(ParseAdmissionPolicy("nope"), common::CheckError);
 }
 
 // ---------------------------------------------- concurrency (TSan coverage) ---
+
+TEST(ShardedService, ConcurrentBlockingProducersMatchCheckAllPerStream) {
+  // Four producers, two streams each, against queues small enough that
+  // kBlock admission keeps blocking them: every stream's events must still
+  // equal the CheckAll oracle, whatever the interleaving and stealing.
+  const std::size_t n = 400;
+  const std::size_t kStreams = 8;
+  const std::size_t kBatch = 25;
+  const std::size_t settle_lag = 4;
+
+  ShardedRuntimeConfig config;
+  config.shards = 4;
+  config.window = 32;
+  config.settle_lag = settle_lag;
+  config.queue_capacity = 2 * kBatch;
+  config.admission = AdmissionPolicy::kBlock;
+  ShardedMonitorService<Tick> service(config, MakeBundle);
+  auto counting = std::make_shared<CountingSink>();
+  auto collecting = std::make_shared<CollectingSink>();
+  service.AddSink(counting);
+  service.AddSink(collecting);
+
+  std::vector<StreamId> ids;
+  std::vector<std::vector<Tick>> streams;
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    ids.push_back(service.RegisterStream("p-" + std::to_string(s)));
+    streams.push_back(MakeStream(500 + s, n));
+  }
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < 4; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::size_t begin = 0; begin < n; begin += kBatch) {
+        for (const std::size_t s : {2 * p, 2 * p + 1}) {
+          EXPECT_TRUE(service.ObserveBatch(
+              ids[s], std::vector<Tick>(streams[s].begin() + begin,
+                                        streams[s].begin() + begin + kBatch)));
+        }
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  service.Flush();
+  EXPECT_TRUE(service.Errors().empty());
+
+  const MetricsSnapshot snapshot = service.Metrics();
+  EXPECT_EQ(snapshot.examples_seen, n * kStreams);  // kBlock loses nothing
+  EXPECT_EQ(counting->count(), snapshot.events);
+  const auto events = collecting->Events();
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    EXPECT_EQ(StreamFirings(events, "p-" + std::to_string(s)),
+              SettledBatchFirings(streams[s], settle_lag))
+        << "stream " << s;
+  }
+}
 
 TEST(ShardedService, ConcurrentObserveFlushAndHotSwapAreSafe) {
   // Producers observe while the main thread flushes and a trainer thread
