@@ -10,8 +10,8 @@
 //     knee, then plateaus while p99 hits the queue bound and the shed
 //     counters (not the queue depth) absorb the overload, and
 //   * a `--facade` comparison (on by default): the same workload through
-//     the type-erased serve::Monitor (AnyExample wrapping + erased
-//     dispatch + typed-scratch materialisation) vs. the directly templated
+//     the type-erased serve::Monitor (AnyExample wrapping, domain checks,
+//     and moving payloads into a typed window) vs. the directly templated
 //     ShardedMonitorService at the same shard count — the erasure tax of
 //     hosting heterogeneous domains in one runtime (target: <= 10%), and
 //   * a `--net` networked saturation bench (on by default): a
@@ -864,10 +864,10 @@ int main(int argc, char** argv) {
   }
 
   // Tracing overhead at the reference shard count: no tracer vs a tracer
-  // attached but disabled (a production binary with tracing compiled in and
-  // switched off — must cost nothing beyond noise) vs tracing on at 1/16
-  // sampling (the recommended always-on setting — target <= 2%). Median-of-5
-  // interleaved, same scheduler-noise reasoning as the facade comparison.
+  // attached but disabled (must cost nothing beyond noise) vs tracing on at
+  // 1/16 sampling (the recommended always-on setting — target <= 2%).
+  // Median-of-5 interleaved, same scheduler-noise reasoning as the facade
+  // comparison.
   TracingComparison tracing;
   tracing.shards = reference->first;
   tracing.sample_every = 16;

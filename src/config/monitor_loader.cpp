@@ -44,10 +44,8 @@ ScenarioMonitor BuildScenarioMonitor(const ScenarioSpec& scenario,
                       domains.At(stream.domain).make_suite_factory(*suite));
 
     // Column order for loop/collector wiring: probe one erased bundle.
-    const serve::AnySuiteBundle probe = factories.at(stream.domain)();
-    common::Check(probe.suite != nullptr,
-                  "domain '" + stream.domain + "' produced a null suite");
-    out.assertion_names.emplace(stream.domain, probe.suite->Names());
+    out.assertion_names.emplace(stream.domain,
+                                factories.at(stream.domain)().names);
   }
 
   for (const StreamSpec& stream : scenario.streams) {

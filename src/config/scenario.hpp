@@ -256,14 +256,4 @@ runtime::SuiteBundle<Example> BuildSuiteBundle(
   return bundle;
 }
 
-/// A SuiteFactory (one bundle per registered stream) over a declarative
-/// suite. The factory object must outlive the returned closure.
-template <typename Example>
-runtime::SuiteFactory<Example> MakeSuiteFactory(
-    const AssertionFactory<Example>& factory, SuiteSpec spec) {
-  return [&factory, spec = std::move(spec)] {
-    return BuildSuiteBundle(factory, spec);
-  };
-}
-
 }  // namespace omg::config

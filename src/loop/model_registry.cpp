@@ -7,7 +7,7 @@ namespace omg::loop {
 std::uint64_t ModelRegistry::Publish(nn::Mlp model) {
   auto shared = std::make_shared<const nn::Mlp>(std::move(model));
   std::uint64_t version;
-  [[maybe_unused]] std::shared_ptr<obs::Tracer> tracer;
+  std::shared_ptr<obs::Tracer> tracer;
   {
     MutexLock lock(mutex_);
     current_.version += 1;
@@ -15,9 +15,11 @@ std::uint64_t ModelRegistry::Publish(nn::Mlp model) {
     version = current_.version;
     tracer = tracer_;
   }
-  OMG_TRACE(if (tracer != nullptr) tracer->EmitControl(
-                obs::TraceEventKind::kModelHotSwap, obs::TracePhase::kInstant,
-                obs::TraceEvent::kNoStream, version));
+  if (tracer != nullptr) {
+    tracer->EmitControl(obs::TraceEventKind::kModelHotSwap,
+                        obs::TracePhase::kInstant,
+                        obs::TraceEvent::kNoStream, version);
+  }
   return version;
 }
 

@@ -79,10 +79,13 @@ void RetrainWorker::Run() {
       snapshot = accumulated_;  // train outside the lock on a copy
     }
     if (config_.on_retrain_start) config_.on_retrain_start();
-    OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                  obs::TraceEventKind::kRetrain, obs::TracePhase::kBegin,
-                  obs::TraceEvent::kNoStream, snapshot.size()));
-    [[maybe_unused]] std::uint64_t published_version = 0;
+    if (config_.tracer != nullptr) {
+      config_.tracer->EmitControl(obs::TraceEventKind::kRetrain,
+                                  obs::TracePhase::kBegin,
+                                  obs::TraceEvent::kNoStream,
+                                  snapshot.size());
+    }
+    std::uint64_t published_version = 0;
 
     // Clone the currently served model and fine-tune the clone; serving
     // keeps reading the old handle until the publish below. A throwing
@@ -103,10 +106,12 @@ void RetrainWorker::Run() {
       training_ = false;
       errors_.push_back(error.what());
     }
-    OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                  obs::TraceEventKind::kRetrain, obs::TracePhase::kEnd,
-                  obs::TraceEvent::kNoStream, snapshot.size(),
-                  published_version));
+    if (config_.tracer != nullptr) {
+      config_.tracer->EmitControl(obs::TraceEventKind::kRetrain,
+                                  obs::TracePhase::kEnd,
+                                  obs::TraceEvent::kNoStream,
+                                  snapshot.size(), published_version);
+    }
     idle_cv_.NotifyAll();
   }
 }

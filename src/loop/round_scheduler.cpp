@@ -36,10 +36,12 @@ std::optional<RoundStats> RoundScheduler::RunRound() {
 
   const FlagStore::Snapshot snapshot = store_->TakeSnapshot();
   if (snapshot.keys.size() < config_.min_candidates) return std::nullopt;
-  OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                obs::TraceEventKind::kRound, obs::TracePhase::kBegin,
-                obs::TraceEvent::kNoStream, next_round_,
-                snapshot.keys.size()));
+  if (config_.tracer != nullptr) {
+    config_.tracer->EmitControl(obs::TraceEventKind::kRound,
+                                obs::TracePhase::kBegin,
+                                obs::TraceEvent::kNoStream, next_round_,
+                                snapshot.keys.size());
+  }
 
   std::vector<double> confidences;
   if (confidences_) {
@@ -92,9 +94,12 @@ std::optional<RoundStats> RoundScheduler::RunRound() {
     MutexLock history_lock(history_mutex_);
     history_.push_back(stats);
   }
-  OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                obs::TraceEventKind::kRound, obs::TracePhase::kEnd,
-                obs::TraceEvent::kNoStream, stats.round, stats.labeled_rows));
+  if (config_.tracer != nullptr) {
+    config_.tracer->EmitControl(obs::TraceEventKind::kRound,
+                                obs::TracePhase::kEnd,
+                                obs::TraceEvent::kNoStream, stats.round,
+                                stats.labeled_rows);
+  }
   return stats;
 }
 

@@ -385,10 +385,12 @@ void IngestServer::DrainAccept(int listen_fd, bool uds) {
         next_conn_id_.fetch_add(1, std::memory_order_relaxed);
     connections_seen_.fetch_add(1, std::memory_order_relaxed);
     connections_active_.fetch_add(1, std::memory_order_relaxed);
-    OMG_TRACE(if (tracer_ != nullptr) tracer_->EmitControl(
-                  obs::TraceEventKind::kConnOpen, obs::TracePhase::kInstant,
-                  obs::TraceEvent::kNoStream,
-                  uds ? kTransportUds : kTransportTcp, id));
+    if (tracer_ != nullptr) {
+      tracer_->EmitControl(obs::TraceEventKind::kConnOpen,
+                           obs::TracePhase::kInstant,
+                           obs::TraceEvent::kNoStream,
+                           uds ? kTransportUds : kTransportTcp, id);
+    }
     auto conn = std::make_unique<Connection>(fd, id, uds,
                                              options_.max_frame_bytes);
     Handler& handler =
@@ -672,11 +674,12 @@ void IngestServer::OnData(Connection& conn, const Frame& frame) {
   const double hint = frame.header.hint();
   if (!conn.tenant->Admit(count, hint)) {
     Account(conn, WireOutcome::kQuotaRejected, count);
-    OMG_TRACE(if (tracer_ != nullptr) tracer_->EmitControl(
-                  obs::TraceEventKind::kWireReject,
-                  obs::TracePhase::kInstant, exposed.handle.id(), count,
-                  static_cast<std::uint64_t>(
-                      serve::ErrorCode::kQuotaExceeded)));
+    if (tracer_ != nullptr) {
+      tracer_->EmitControl(
+          obs::TraceEventKind::kWireReject, obs::TracePhase::kInstant,
+          exposed.handle.id(), count,
+          static_cast<std::uint64_t>(serve::ErrorCode::kQuotaExceeded));
+    }
     return;
   }
   serve::Result<std::vector<serve::AnyExample>> batch =
@@ -693,10 +696,11 @@ void IngestServer::OnData(Connection& conn, const Frame& frame) {
   }
   if (outcome.value() == serve::ObserveOutcome::kAdmitted) {
     Account(conn, WireOutcome::kAdmitted, count);
-    OMG_TRACE(if (tracer_ != nullptr) tracer_->EmitControl(
-                  obs::TraceEventKind::kFrameDecode,
-                  obs::TracePhase::kInstant, exposed.handle.id(), count,
-                  frame.payload.size()));
+    if (tracer_ != nullptr) {
+      tracer_->EmitControl(obs::TraceEventKind::kFrameDecode,
+                           obs::TracePhase::kInstant, exposed.handle.id(),
+                           count, frame.payload.size());
+    }
   } else {
     Account(conn, WireOutcome::kShed, count);
   }
@@ -762,9 +766,11 @@ bool IngestServer::FlushOutbound(Handler& handler, Connection& conn) {
 }
 
 void IngestServer::CloseConnection(Handler& handler, Connection& conn) {
-  OMG_TRACE(if (tracer_ != nullptr) tracer_->EmitControl(
-                obs::TraceEventKind::kConnClose, obs::TracePhase::kInstant,
-                obs::TraceEvent::kNoStream, conn.id, conn.frames));
+  if (tracer_ != nullptr) {
+    tracer_->EmitControl(obs::TraceEventKind::kConnClose,
+                         obs::TracePhase::kInstant,
+                         obs::TraceEvent::kNoStream, conn.id, conn.frames);
+  }
   ::epoll_ctl(handler.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   connections_active_.fetch_sub(1, std::memory_order_relaxed);
@@ -819,10 +825,12 @@ void IngestServer::Account(Connection& conn, WireOutcome outcome,
 void IngestServer::AccountReject(Connection& conn, std::uint64_t examples,
                                  serve::ErrorCode code) {
   Account(conn, WireOutcome::kDecodeError, examples);
-  OMG_TRACE(if (tracer_ != nullptr) tracer_->EmitControl(
-                obs::TraceEventKind::kWireReject, obs::TracePhase::kInstant,
-                obs::TraceEvent::kNoStream, examples,
-                static_cast<std::uint64_t>(code)));
+  if (tracer_ != nullptr) {
+    tracer_->EmitControl(obs::TraceEventKind::kWireReject,
+                         obs::TracePhase::kInstant,
+                         obs::TraceEvent::kNoStream, examples,
+                         static_cast<std::uint64_t>(code));
+  }
 }
 
 IngestServer::TenantState* IngestServer::ResolveTenant(

@@ -13,11 +13,6 @@
 // shard is traced iff k % sample_every == 0, independent of timing, so
 // traces are reproducible. Control-lane events are rare and always
 // recorded (subject to the master enable switch).
-//
-// Compile-out: building with -DOMG_OBS_DISABLE_TRACING (CMake option
-// OMG_DISABLE_TRACING) turns every OMG_TRACE(...) statement into nothing
-// and folds obs::kTracingCompiled to false, so instrumented call sites
-// vanish entirely — the zero-cost path for latency-critical builds.
 #pragma once
 
 #include <atomic>
@@ -31,26 +26,7 @@
 #include "obs/trace_event.hpp"
 #include "obs/trace_ring.hpp"
 
-#if defined(OMG_OBS_DISABLE_TRACING)
-/// Wraps a tracing statement; compiled out under OMG_OBS_DISABLE_TRACING.
-#define OMG_TRACE(statement) \
-  do {                       \
-  } while (false)
-#else
-#define OMG_TRACE(statement) \
-  do {                       \
-    statement;               \
-  } while (false)
-#endif
-
 namespace omg::obs {
-
-/// True when OMG_TRACE statements are compiled in.
-#if defined(OMG_OBS_DISABLE_TRACING)
-inline constexpr bool kTracingCompiled = false;
-#else
-inline constexpr bool kTracingCompiled = true;
-#endif
 
 /// Tracer geometry and sampling policy.
 struct TracerOptions {

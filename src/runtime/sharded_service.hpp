@@ -140,19 +140,40 @@ class ShardedMonitorService {
     return RegisterStream(std::move(name), factory_());
   }
 
-  /// Registers a stream served by its own `bundle` — streams of one
-  /// service may run entirely different suites (the serving facade hosts
-  /// heterogeneous domains this way).
+  /// Registers a stream served by its own `bundle`: the default scorer
+  /// over the bundle's suite, events named after its assertions.
   StreamId RegisterStream(std::string name, SuiteBundle bundle) {
+    common::Check(bundle.suite != nullptr, "suite factory returned null");
+    std::vector<std::string> assertion_names = bundle.suite->Names();
+    return RegisterStream(
+        std::move(name), std::move(assertion_names),
+        [bundle = std::move(bundle)](const StreamScorerParams& params) {
+          return std::make_unique<DefaultStreamScorer<Example>>(
+              bundle.suite, bundle.invalidate, params);
+        });
+  }
+
+  /// Registers a stream scored by the StreamScorer that `scorer` builds
+  /// for this service's window geometry; its events name assertion index
+  /// `a` as `assertion_names[a]`. Streams of one service may run entirely
+  /// different scorers (the serving facade hosts heterogeneous domains
+  /// this way).
+  StreamId RegisterStream(std::string name,
+                          std::vector<std::string> assertion_names,
+                          const StreamScorerFactory<Example>& scorer) {
+    common::Check(static_cast<bool>(scorer), "null scorer factory");
+    std::unique_ptr<StreamScorer<Example>> built =
+        scorer({config_.window, config_.settle_lag});
+    common::Check(built != nullptr, "scorer factory returned null");
     // Registration is serialised end to end: id assignment and the table
     // append must be atomic together, or two concurrent registrations
     // could append out of id order.
     MutexLock lock(registration_mutex_);
     const StreamId id = registry_.Register(std::move(name));
     metrics_->RegisterStream(id, registry_.Name(id));
-    common::Check(bundle.suite != nullptr, "suite factory returned null");
-    auto state = std::make_unique<StreamState>(id, registry_.Name(id),
-                                               std::move(bundle), config_);
+    auto state = std::make_unique<StreamState>(
+        id, registry_.Name(id), id % config_.shards,
+        std::move(assertion_names), std::move(built));
     state->home_mutex = &shards_[state->shard]->mutex;
     auto table = std::make_shared<std::vector<StreamState*>>(
         streams_.load() ? *streams_.load() : std::vector<StreamState*>{});
@@ -226,11 +247,11 @@ class ShardedMonitorService {
           lock.Unlock();
           metrics_->RecordLoss(state->shard, 1, cost,
                                MetricsRegistry::LossKind::kShed);
-          OMG_TRACE(if (config_.tracer != nullptr)
-                        config_.tracer->EmitControl(
-                            obs::TraceEventKind::kAdmissionShed,
-                            obs::TracePhase::kInstant, id, cost,
-                            state->shard));
+          if (config_.tracer != nullptr) {
+            config_.tracer->EmitControl(obs::TraceEventKind::kAdmissionShed,
+                                        obs::TracePhase::kInstant, id, cost,
+                                        state->shard);
+          }
           return false;
         }
       }
@@ -259,11 +280,11 @@ class ShardedMonitorService {
               lock.Unlock();
               metrics_->RecordLoss(state->shard, 1, cost,
                                    MetricsRegistry::LossKind::kShed);
-              OMG_TRACE(if (config_.tracer != nullptr)
-                            config_.tracer->EmitControl(
-                                obs::TraceEventKind::kAdmissionShed,
-                                obs::TracePhase::kInstant, id, cost,
-                                state->shard));
+              if (config_.tracer != nullptr) {
+                config_.tracer->EmitControl(
+                    obs::TraceEventKind::kAdmissionShed,
+                    obs::TracePhase::kInstant, id, cost, state->shard);
+              }
               return false;
             }
             // The incoming batch is important: make room by evicting
@@ -299,10 +320,11 @@ class ShardedMonitorService {
     if (dropped_batches > 0) {
       metrics_->RecordLoss(state->shard, dropped_batches, dropped_examples,
                            MetricsRegistry::LossKind::kDropped);
-      OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                    obs::TraceEventKind::kAdmissionDrop,
-                    obs::TracePhase::kInstant, id, dropped_examples,
-                    state->shard));
+      if (config_.tracer != nullptr) {
+        config_.tracer->EmitControl(obs::TraceEventKind::kAdmissionDrop,
+                                    obs::TracePhase::kInstant, id,
+                                    dropped_examples, state->shard);
+      }
     }
     return true;
   }
@@ -313,8 +335,10 @@ class ShardedMonitorService {
   /// on admission makes progress as the workers drain, so Flush still
   /// terminates.
   void Flush() {
-    OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                  obs::TraceEventKind::kFlush, obs::TracePhase::kBegin));
+    if (config_.tracer != nullptr) {
+      config_.tracer->EmitControl(obs::TraceEventKind::kFlush,
+                                  obs::TracePhase::kBegin);
+    }
     for (const auto& shard : shards_) {
       MutexLock lock(shard->mutex);
       while (!shard->queue.empty() || shard->busy ||
@@ -325,8 +349,10 @@ class ShardedMonitorService {
     if (const auto sinks = sinks_.load()) {
       for (const auto& sink : *sinks) sink->Flush();
     }
-    OMG_TRACE(if (config_.tracer != nullptr) config_.tracer->EmitControl(
-                  obs::TraceEventKind::kFlush, obs::TracePhase::kEnd));
+    if (config_.tracer != nullptr) {
+      config_.tracer->EmitControl(obs::TraceEventKind::kFlush,
+                                  obs::TracePhase::kEnd);
+    }
   }
 
   /// Aggregated dashboard snapshot — per-stream aggregates plus the
@@ -347,29 +373,23 @@ class ShardedMonitorService {
   }
 
  private:
-  /// One registered stream: its suite bundle and scorer, driven by exactly
-  /// one worker at a time (the claimed-stream protocol below).
+  /// One registered stream: its assertion names and scorer, driven by
+  /// exactly one worker at a time (the claimed-stream protocol below).
   struct StreamState {
-    StreamState(StreamId id, std::string_view name, SuiteBundle bundle_in,
-                const ShardedRuntimeConfig& config)
+    StreamState(StreamId id, std::string_view name, std::size_t shard,
+                std::vector<std::string> assertion_names,
+                std::unique_ptr<StreamScorer<Example>> scorer)
         : id(id),
           name(name),
-          shard(id % config.shards),
-          bundle(std::move(bundle_in)) {
-      const StreamScorerParams params{config.window, config.settle_lag};
-      if (bundle.scorer) {
-        scorer = bundle.scorer(params);
-        common::Check(scorer != nullptr, "scorer factory returned null");
-      } else {
-        scorer = std::make_unique<DefaultStreamScorer<Example>>(
-            bundle.suite, bundle.invalidate, params);
-      }
-    }
+          shard(shard),
+          assertion_names(std::move(assertion_names)),
+          scorer(std::move(scorer)) {}
 
     StreamId id;
     std::string_view name;  // owned by the registry
     std::size_t shard;      ///< home shard (id % shards)
-    SuiteBundle bundle;
+    /// Event name of each scorer assertion index.
+    std::vector<std::string> assertion_names;
     std::unique_ptr<StreamScorer<Example>> scorer;
     /// The home shard's mutex — the capability guarding `claimed`. Set by
     /// RegisterStream right after construction, constant afterwards.
@@ -462,7 +482,7 @@ class ShardedMonitorService {
 
   void WorkerLoop(std::size_t shard_index) {
     Shard& shard = *shards_[shard_index];
-    [[maybe_unused]] obs::Tracer* const tracer = config_.tracer.get();
+    obs::Tracer* const tracer = config_.tracer.get();
     const bool stealing = config_.stealing && config_.shards > 1;
     // Occupancy accounting: everything between finishing one batch (or
     // steal episode) and starting the next is idle; own scoring is busy,
@@ -508,13 +528,13 @@ class ShardedMonitorService {
         const std::uint64_t queue_wait_ns =
             obs::Clock::ElapsedNs(item.enqueued_ns, dequeued_ns);
         metrics_->RecordQueueDepth(shard_index, depth);
-        bool traced = false;
-        OMG_TRACE(
-            traced = tracer != nullptr && tracer->SampleBatch(shard_index);
-            if (traced) tracer->EmitShard(
-                shard_index, obs::TraceEventKind::kBatchDequeue,
-                obs::TracePhase::kInstant, item.state->id, item.batch.size(),
-                depth));
+        const bool traced =
+            tracer != nullptr && tracer->SampleBatch(shard_index);
+        if (traced) {
+          tracer->EmitShard(shard_index, obs::TraceEventKind::kBatchDequeue,
+                            obs::TracePhase::kInstant, item.state->id,
+                            item.batch.size(), depth);
+        }
         Score(shard_index, item, queue_wait_ns, idle_ns, traced,
               /*stolen=*/false);
         {
@@ -545,7 +565,7 @@ class ShardedMonitorService {
   /// unclaim group by group. Returns false when there was nothing to
   /// steal. On success, advances `idle_since_ns` past the episode.
   bool TryStealAndRun(std::size_t thief_index, std::uint64_t& idle_since_ns) {
-    [[maybe_unused]] obs::Tracer* const tracer = config_.tracer.get();
+    obs::Tracer* const tracer = config_.tracer.get();
     std::size_t victim_index = thief_index;
     std::size_t deepest = 0;
     for (std::size_t j = 0; j < config_.shards; ++j) {
@@ -614,13 +634,13 @@ class ShardedMonitorService {
         // Stolen batches trace into the *thief's* lane (never the home
         // shard's): each lane stays single-writer — only its own worker
         // thread emits into it.
-        bool traced = false;
-        OMG_TRACE(
-            traced = tracer != nullptr && tracer->SampleBatch(thief_index);
-            if (traced) tracer->EmitShard(
-                thief_index, obs::TraceEventKind::kBatchDequeue,
-                obs::TracePhase::kInstant, stolen_item.state->id,
-                stolen_item.batch.size(), depth));
+        const bool traced =
+            tracer != nullptr && tracer->SampleBatch(thief_index);
+        if (traced) {
+          tracer->EmitShard(thief_index, obs::TraceEventKind::kBatchDequeue,
+                            obs::TracePhase::kInstant, stolen_item.state->id,
+                            stolen_item.batch.size(), depth);
+        }
         Score(thief_index, stolen_item, queue_wait_ns, /*idle_ns=*/0,
               traced, /*stolen=*/true);
       }
@@ -669,21 +689,25 @@ class ShardedMonitorService {
   /// aggregates, events, and latency always land in the home cell.
   void Score(std::size_t worker_shard, QueueItem& item,
              std::uint64_t queue_wait_ns, std::uint64_t idle_ns,
-             [[maybe_unused]] bool traced, bool stolen) {
-    [[maybe_unused]] obs::Tracer* const tracer = config_.tracer.get();
+             bool traced, bool stolen) {
+    obs::Tracer* const tracer = config_.tracer.get();
     StreamState& state = *item.state;
     const std::size_t count = item.batch.size();
     const std::uint64_t begin_ns = obs::Clock::NowNs();
-    OMG_TRACE(if (traced) tracer->EmitShard(
-                  worker_shard, obs::TraceEventKind::kEvaluate,
-                  obs::TracePhase::kBegin, state.id, count));
+    if (traced) {
+      tracer->EmitShard(worker_shard, obs::TraceEventKind::kEvaluate,
+                        obs::TracePhase::kBegin, state.id, count);
+    }
     std::vector<StreamEvent> events;
     try {
       state.scorer->ObserveBatch(
           std::move(item.batch),
           [&](std::size_t global, std::size_t a, double severity) {
+            // A bad index poisons the batch (caught below), not the process.
+            common::Check(a < state.assertion_names.size(),
+                          "scorer emitted an unknown assertion index");
             events.push_back({state.id, state.name, global,
-                              state.bundle.suite->at(a).name(), severity});
+                              state.assertion_names[a], severity});
           });
     } catch (const std::exception& error) {
       {
@@ -691,9 +715,10 @@ class ShardedMonitorService {
         errors_.push_back(std::string(state.name) + ": " + error.what());
       }
       const std::uint64_t failed_ns = obs::Clock::NowNs();
-      OMG_TRACE(if (traced) tracer->EmitShard(
-                    worker_shard, obs::TraceEventKind::kEvaluate,
-                    obs::TracePhase::kEnd, state.id, count, 0));
+      if (traced) {
+        tracer->EmitShard(worker_shard, obs::TraceEventKind::kEvaluate,
+                          obs::TracePhase::kEnd, state.id, count, 0);
+      }
       const std::uint64_t busy_ns =
           obs::Clock::ElapsedNs(begin_ns, failed_ns);
       // Keep the loss accounting exact: a poisoned batch's examples must
@@ -709,9 +734,11 @@ class ShardedMonitorService {
       }
     }
     const std::uint64_t done_ns = obs::Clock::NowNs();
-    OMG_TRACE(if (traced) tracer->EmitShard(
-                  worker_shard, obs::TraceEventKind::kEvaluate,
-                  obs::TracePhase::kEnd, state.id, count, events.size()));
+    if (traced) {
+      tracer->EmitShard(worker_shard, obs::TraceEventKind::kEvaluate,
+                        obs::TracePhase::kEnd, state.id, count,
+                        events.size());
+    }
     const double latency = obs::Clock::ToSeconds(
         obs::Clock::ElapsedNs(item.enqueued_ns, done_ns));
     const std::uint64_t busy_ns = obs::Clock::ElapsedNs(begin_ns, done_ns);

@@ -6,15 +6,13 @@
 // ShardedMonitorService aliases these types, and serve::EraseSuiteFactory
 // turns a typed factory into the facade's erased one.
 //
-// A bundle may additionally carry a StreamScorer factory: the scorer owns
-// the stream's window evaluation, and a custom one can evaluate in a
-// different representation than the service's Example type. The serving
-// facade uses this to run type-erased streams on *typed* evaluators — the
-// holder's payload is moved straight into a typed window and every
-// assertion scores typed spans, so erasure stays off the per-pass scoring
-// path. Without a factory the service builds the default scorer, which
-// drives an IncrementalWindowEvaluator<Example> over `suite` exactly as the
-// services always did.
+// The service serves a stream from its assertion names plus a StreamScorer
+// factory: the scorer owns the stream's window evaluation and may evaluate
+// in a different representation than the service's Example type. The
+// serving facade uses this to run type-erased streams on *typed*
+// evaluators (serve::TypedStreamScorer), so erasure stays off the scoring
+// path. A typed bundle registers through DefaultStreamScorer, which drives
+// an IncrementalWindowEvaluator<Example> over the bundle's suite.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +43,8 @@ struct StreamScorerParams {
 template <typename Example>
 class StreamScorer {
  public:
-  /// Firing callback; assertion_index refers to the bundle suite's order.
+  /// Firing callback; assertion_index indexes the stream's assertion names
+  /// as registered with the service.
   using EmitFn = std::function<void(std::size_t global, std::size_t assertion,
                                     double severity)>;
 
@@ -56,8 +55,9 @@ class StreamScorer {
   virtual void ObserveBatch(std::vector<Example> batch, const EmitFn& emit) = 0;
 };
 
-/// The stock scorer: an IncrementalWindowEvaluator<Example> over the
-/// bundle's own suite (what every stream ran before scorers existed).
+/// The stock scorer: an IncrementalWindowEvaluator<Example> over a typed
+/// bundle's own suite (what ShardedMonitorService registers a
+/// SuiteBundle with).
 template <typename Example>
 class DefaultStreamScorer final : public StreamScorer<Example> {
  public:
@@ -79,23 +79,20 @@ class DefaultStreamScorer final : public StreamScorer<Example> {
   core::IncrementalWindowEvaluator<Example> evaluator_;
 };
 
+/// Builds one stream's scorer for the service's window geometry.
+template <typename Example>
+using StreamScorerFactory = std::function<
+    std::unique_ptr<StreamScorer<Example>>(const StreamScorerParams&)>;
+
 /// One stream's private suite plus an optional invalidation hook, invoked
 /// before unbounded assertions re-evaluate the window (wire the
 /// consistency analyzer's Invalidate here — see IncrementalWindowEvaluator).
 template <typename Example>
 struct SuiteBundle {
-  /// The stream's private assertion suite (must be non-null). Even when a
-  /// custom scorer evaluates elsewhere, this suite remains the source of
-  /// assertion names and order for the stream's events.
+  /// The stream's private assertion suite (must be non-null).
   std::shared_ptr<core::AssertionSuite<Example>> suite;
-  /// Optional hook run before unbounded assertions re-score the window
-  /// (consumed by the default scorer; custom scorers wire their own).
+  /// Optional hook run before unbounded assertions re-score the window.
   std::function<void()> invalidate;
-  /// Optional scorer factory; null means the default scorer over `suite`.
-  /// Emitted assertion indices must follow `suite`'s order.
-  std::function<std::unique_ptr<StreamScorer<Example>>(
-      const StreamScorerParams&)>
-      scorer;
 };
 
 /// Builds one stream's SuiteBundle; called once per RegisterStream.

@@ -59,7 +59,7 @@ class AnyExample {
   /// inline. Sized so every shipped domain's example type fits with
   /// headroom (the largest, av::AvExample, is 96 bytes on LP64) while the
   /// whole holder stays at 144 bytes — holders are streamed by value
-  /// through queues, windows, and scratch copies, so their footprint is
+  /// through producer batches and shard queues, so their footprint is
   /// the facade's main throughput lever.
   static constexpr std::size_t kInlineCapacity = 136;
 

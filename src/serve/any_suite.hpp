@@ -1,51 +1,43 @@
-// Erasing core::Assertion<Example> suites into AnyExample suites.
+// Erasing core::Assertion<Example> suites for the AnyExample runtime.
 //
-// ErasedAssertion<T> adapts one typed assertion to the AnyExample stream the
-// shared runtime serves, preserving the `temporal_radius` incremental-
-// evaluation contract (the evaluator sees the same radii, so pointwise /
-// bounded-suffix / unbounded scheduling is unchanged). Assertion names are
-// qualified as "<domain>/<name>" at erasure time, so runtime events, metric
-// keys, and FlagCollectorSink columns can never collide across domains.
-//
-// Typed assertions score `span<const T>`; the erased stream holds
-// AnyExample. Each evaluation therefore materialises a contiguous typed
-// copy of the requested span. A per-bundle ScratchPool shares those copies
-// across the suite's assertions within one evaluation pass: all assertions
-// requesting the same span (notably a consistency source's generated
-// family, which must see one span for its analysis memoisation to hold) get
-// the same typed buffer, so the erased suite does one copy per distinct
-// span per pass, not one per assertion.
-//
-// Evaluation-pass contract: the pool starts a new pass whenever assertion 0
-// of the erased suite is evaluated. Both drivers in the tree — the
-// incremental window evaluator and AssertionSuite::CheckAll — evaluate
-// every assertion in index order per pass, which is what makes the sharing
-// sound; evaluating an erased assertion in isolation is not supported.
+// An erased stream is two things: the qualified names of its assertions
+// and a factory for a TypedStreamScorer<T>. The scorer moves each batch's
+// payloads out of their AnyExample holders into a typed
+// IncrementalWindowEvaluator<T>, so the typed suite scores typed spans
+// with the same radii, window and settle lag as when served directly.
+// Assertion names are qualified as "<domain>/<name>" at erasure time, so
+// runtime events, metric keys, and FlagCollectorSink columns can never
+// collide across domains.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
+#include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "core/assertion.hpp"
+#include "core/incremental.hpp"
 #include "runtime/suite_bundle.hpp"
 #include "serve/any_example.hpp"
 
 namespace omg::serve {
 
-/// An erased per-stream suite bundle / factory — what the shared runtime
-/// (ShardedMonitorService<AnyExample>) is instantiated with.
-using AnySuiteBundle = runtime::SuiteBundle<AnyExample>;
-using AnySuiteFactory = runtime::SuiteFactory<AnyExample>;
+/// An erased per-stream bundle: what serve::Monitor registers a stream
+/// from.
+struct AnySuiteBundle {
+  /// Qualified event name ("<domain>/<name>") of each assertion, indexed
+  /// like the scorer's emitted assertion indices.
+  std::vector<std::string> names;
+  /// Builds the stream's scorer for the runtime's window geometry.
+  runtime::StreamScorerFactory<AnyExample> scorer;
+};
+
+/// Builds one stream's AnySuiteBundle; called once per RegisterStream.
+using AnySuiteFactory = std::function<AnySuiteBundle()>;
 
 /// "<domain>/<name>" — the qualified event name of an erased assertion.
 inline std::string QualifiedName(std::string_view domain,
@@ -73,198 +65,11 @@ inline std::string_view UnqualifiedName(std::string_view qualified) {
                                          : qualified.substr(slash + 1);
 }
 
-/// Shared typed-copy cache for one erased suite (see the file comment for
-/// the evaluation-pass contract). Not thread-safe; the runtime pins each
-/// stream's suite to one shard worker.
-///
-/// The incremental evaluator asks each assertion to score a *suffix* of
-/// the stream window sized to its radius, so within one pass every
-/// requested span shares the window's end and they differ only in how far
-/// left they reach. The pool exploits that: copies are kept end-aligned in
-/// a tail-filled buffer, a narrower request is served as a zero-copy view,
-/// and a wider one copies only the missing prefix — the whole suite costs
-/// one typed copy of the widest span per pass instead of one per
-/// assertion. (The prefix-extension fast path needs memcpy-safe elements;
-/// other payload types fall back to one copy per distinct span, still
-/// shared across assertions requesting it.)
-template <typename T>
-class ScratchPool {
- public:
-  /// Invalidates every cached span; the next Materialize call re-copies.
-  void BeginPass() { ++pass_; }
-
-  /// A contiguous typed copy of `examples`, shared within the current
-  /// pass. Throws CheckError (poisoning the batch, not the service) when
-  /// an example is empty or of another domain.
-  std::span<const T> Materialize(std::span<const AnyExample> examples,
-                                 std::string_view assertion) {
-    if (examples.empty()) return {};
-    const AnyExample* request_begin = examples.data();
-    const AnyExample* request_end = request_begin + examples.size();
-
-    // Any live entry that covers the request serves a zero-copy view.
-    for (Entry& entry : entries_) {
-      if (entry.pass == pass_ && request_begin >= entry.begin &&
-          request_end <= entry.end) {
-        return {entry.Tail() + (request_begin - entry.begin),
-                examples.size()};
-      }
-    }
-
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      // End-aligned extension: a wider request over an already-copied
-      // suffix fills in only the missing prefix.
-      for (Entry& entry : entries_) {
-        if (entry.pass == pass_ && entry.end == request_end &&
-            request_begin < entry.begin) {
-          const std::size_t extra =
-              static_cast<std::size_t>(entry.begin - request_begin);
-          entry.EnsureTailCapacity(entry.count + extra);
-          CopyRange(request_begin, entry.begin, entry.Tail() - extra,
-                    assertion);
-          entry.count += extra;
-          entry.begin = request_begin;
-          return {entry.Tail(), examples.size()};
-        }
-      }
-    }
-
-    Entry& entry = NextSlot();
-    entry.pass = 0;   // half-built until the copy below succeeds
-    entry.count = 0;  // stale contents are dead; nothing to preserve
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      entry.EnsureTailCapacity(examples.size());
-      entry.count = examples.size();
-      CopyRange(request_begin, request_end, entry.Tail(), assertion);
-    } else {
-      // Copy-construct into a begin-aligned buffer (no prepend extension
-      // for these payloads, so tail alignment buys nothing).
-      entry.storage.clear();
-      entry.storage.reserve(examples.size());
-      for (const AnyExample& example : examples) {
-        entry.storage.push_back(Payload(example, assertion));
-      }
-      entry.count = examples.size();
-    }
-    entry.begin = request_begin;
-    entry.end = request_end;
-    entry.pass = pass_;
-    return {entry.Tail(), entry.count};
-  }
-
- private:
-  struct Entry {
-    std::uint64_t pass = 0;  // 0 = never valid (BeginPass starts at 1)
-    const AnyExample* begin = nullptr;  ///< covered raw span
-    const AnyExample* end = nullptr;
-    std::size_t count = 0;    ///< typed elements, at the tail of `storage`
-    std::vector<T> storage;   ///< tail-filled: elements in [size-count, size)
-
-    T* Tail() { return storage.data() + storage.size() - count; }
-
-    /// Grows `storage` (keeping the tail alignment of the current
-    /// elements) so `needed` elements fit. Trivially-copyable payloads
-    /// only (the extension fast path).
-    void EnsureTailCapacity(std::size_t needed) {
-      static_assert(std::is_trivially_copyable_v<T>);
-      if (storage.size() >= needed) return;
-      std::vector<T> grown(std::max<std::size_t>(needed + needed / 2, 64));
-      if (count > 0) {
-        std::memcpy(grown.data() + grown.size() - count, Tail(),
-                    count * sizeof(T));
-      }
-      storage = std::move(grown);
-    }
-  };
-
-  /// The typed payload of `example`; throws CheckError on a domain
-  /// mismatch, naming the offending example.
-  static const T& Payload(const AnyExample& example,
-                          std::string_view assertion) {
-    const T* typed = example.TryGet<T>();
-    if (typed == nullptr) {
-      throw common::CheckError(
-          "assertion '" + std::string(assertion) + "' fed a '" +
-          std::string(example.domain()) +
-          "' example: " + example.DebugString());
-    }
-    return *typed;
-  }
-
-  /// Verifies domains and copies payloads into `out` (dense,
-  /// memcpy-safe payloads only). Two-phase: validate every holder first,
-  /// then copy in a branch-free loop — the throw path stays out of the
-  /// copy loop, so the compiler can unroll/vectorize the memcpys.
-  static void CopyRange(const AnyExample* begin, const AnyExample* end,
-                        T* out, std::string_view assertion) {
-    for (const AnyExample* it = begin; it != end; ++it) {
-      if (!it->Is<T>()) Payload(*it, assertion);  // throws, naming the domain
-    }
-    for (const AnyExample* it = begin; it != end; ++it, ++out) {
-      std::memcpy(static_cast<void*>(out), it->TryGet<T>(), sizeof(T));
-    }
-  }
-
-  /// Reuses a stale entry (keeping its capacity) or grows the pool. One
-  /// pass touches only a handful of distinct spans (one per distinct
-  /// assertion radius), so linear scans stay trivial.
-  Entry& NextSlot() {
-    for (Entry& entry : entries_) {
-      if (entry.pass != pass_) return entry;
-    }
-    return entries_.emplace_back();
-  }
-
-  std::vector<Entry> entries_;
-  std::uint64_t pass_ = 0;
-};
-
-/// One typed assertion viewed through the AnyExample stream. Radius and
-/// scores pass through unchanged; the name gains its domain qualifier.
-template <typename T>
-class ErasedAssertion final : public core::Assertion<AnyExample> {
- public:
-  /// Wraps assertion `index` of `suite` (kept alive via the shared_ptr).
-  /// `pool` is the bundle-wide scratch pool; `pass_leader` marks the
-  /// erased suite's assertion 0, which opens each evaluation pass.
-  ErasedAssertion(std::string_view domain,
-                  std::shared_ptr<core::AssertionSuite<T>> suite,
-                  std::size_t index, std::shared_ptr<ScratchPool<T>> pool,
-                  bool pass_leader)
-      : core::Assertion<AnyExample>(
-            QualifiedName(domain, suite->at(index).name())),
-        suite_(std::move(suite)),
-        index_(index),
-        pool_(std::move(pool)),
-        pass_leader_(pass_leader) {
-    common::Check(pool_ != nullptr, "erased assertion needs a scratch pool");
-  }
-
-  std::vector<double> CheckAll(
-      std::span<const AnyExample> examples) override {
-    if (pass_leader_) pool_->BeginPass();
-    return suite_->at(index_).CheckAll(
-        pool_->Materialize(examples, name()));
-  }
-
-  std::size_t temporal_radius() const override {
-    return suite_->at(index_).temporal_radius();
-  }
-
- private:
-  std::shared_ptr<core::AssertionSuite<T>> suite_;
-  std::size_t index_;
-  std::shared_ptr<ScratchPool<T>> pool_;
-  bool pass_leader_;
-};
-
-/// The facade's fast path: scores an AnyExample stream on a *typed*
-/// window. Each batch's payloads are moved straight out of their holders
-/// into an IncrementalWindowEvaluator<T> (no ScratchPool materialisation,
-/// no erased-assertion indirection per pass); the typed suite scores
-/// typed spans directly. The evaluator sees the same radii, window, and
-/// settle lag as the erased path, so chunk splits and emission order are
-/// bit-identical — only the per-pass copies disappear.
+/// Scores an AnyExample stream on a *typed* window: each batch's payloads
+/// are moved straight out of their holders into an
+/// IncrementalWindowEvaluator<T>, and the typed suite scores typed spans
+/// directly. A payload of another type throws CheckError, which poisons
+/// the batch, not the service.
 template <typename T>
 class TypedStreamScorer final : public runtime::StreamScorer<AnyExample> {
  public:
@@ -300,32 +105,22 @@ class TypedStreamScorer final : public runtime::StreamScorer<AnyExample> {
   core::IncrementalWindowEvaluator<T> evaluator_;
 };
 
-/// Erases a typed per-stream bundle into an AnyExample bundle: every
-/// assertion is wrapped (name qualified under `domain`), the invalidation
-/// hook passes through, and the typed suite stays alive behind the
-/// wrappers. The bundle also carries a TypedStreamScorer factory, so the
-/// sharded service evaluates this stream on typed windows (the erased
-/// suite remains the source of event names — and the fallback for any
-/// driver that scores through AssertionSuite::CheckAll directly).
+/// Erases a typed per-stream bundle: the suite's names qualified under
+/// `domain`, plus a TypedStreamScorer factory over the suite and its
+/// invalidation hook.
 template <typename T>
 AnySuiteBundle EraseSuiteBundle(std::string_view domain,
                                 runtime::SuiteBundle<T> bundle) {
   common::Check(!domain.empty(), "EraseSuiteBundle: empty domain");
   common::Check(bundle.suite != nullptr, "EraseSuiteBundle: null suite");
-  auto pool = std::make_shared<ScratchPool<T>>();
-  auto erased = std::make_shared<core::AssertionSuite<AnyExample>>();
-  for (std::size_t i = 0; i < bundle.suite->size(); ++i) {
-    erased->Add(std::make_unique<ErasedAssertion<T>>(
-        domain, bundle.suite, i, pool, /*pass_leader=*/i == 0));
-  }
   AnySuiteBundle out;
-  out.suite = std::move(erased);
-  out.invalidate = bundle.invalidate;
-  out.scorer = [domain = std::string(domain), suite = bundle.suite,
-                invalidate = std::move(bundle.invalidate)](
+  for (const std::string& name : bundle.suite->Names()) {
+    out.names.push_back(QualifiedName(domain, name));
+  }
+  out.scorer = [domain = std::string(domain), bundle = std::move(bundle)](
                    const runtime::StreamScorerParams& params) {
-    return std::make_unique<TypedStreamScorer<T>>(domain, suite, invalidate,
-                                                  params);
+    return std::make_unique<TypedStreamScorer<T>>(domain, bundle.suite,
+                                                  bundle.invalidate, params);
   };
   return out;
 }

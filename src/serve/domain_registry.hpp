@@ -7,10 +7,10 @@
 // funnel:
 //
 //   config::AssertionFactory<T>  (typed builders, schema-validated)
-//        │  config::MakeSuiteFactory(spec)
-//   runtime::SuiteFactory<T>     (typed per-stream bundles)
-//        │  serve::EraseSuiteFactory
-//   serve::AnySuiteFactory       (AnyExample bundles, names qualified)
+//        │  config::BuildSuiteBundle(factory, spec), once per stream
+//   runtime::SuiteBundle<T>      (a typed per-stream suite + hook)
+//        │  serve::EraseSuiteBundle
+//   serve::AnySuiteBundle        (qualified names + typed scorer factory)
 //
 // The four shipped domains register through serve::MakeDefaultDomainRegistry
 // (serve/domains.hpp); adding a domain is a DomainTraits specialization

@@ -266,13 +266,13 @@ Result<StreamHandle> Monitor::RegisterStream(std::string_view domain,
     return Error{ErrorCode::kInvalidSuite,
                  std::string("suite factory threw: ") + error.what()};
   }
-  if (bundle.suite == nullptr || bundle.suite->empty()) {
+  if (!bundle.scorer || bundle.names.empty()) {
     return Error{ErrorCode::kInvalidSuite,
                  "suite factory produced " +
-                     std::string(bundle.suite == nullptr ? "no suite"
-                                                         : "an empty suite")};
+                     std::string(!bundle.scorer ? "no scorer"
+                                                : "no assertion names")};
   }
-  for (const std::string& name : bundle.suite->Names()) {
+  for (const std::string& name : bundle.names) {
     if (DomainOfQualifiedName(name) != domain) {
       return Error{ErrorCode::kWrongDomain,
                    "assertion '" + name + "' is not qualified under '" +
@@ -302,8 +302,8 @@ Result<StreamHandle> Monitor::RegisterStream(std::string_view domain,
   }
   if (interned.empty()) interned = domains_.emplace_back(domain);
 
-  const runtime::StreamId id =
-      service_->RegisterStream(std::move(name), std::move(bundle));
+  const runtime::StreamId id = service_->RegisterStream(
+      std::move(name), std::move(bundle.names), bundle.scorer);
 
   auto info = std::make_shared<std::vector<StreamInfo>>(
       stream_info_.load() ? *stream_info_.load()

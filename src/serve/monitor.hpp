@@ -209,10 +209,10 @@ class Monitor {
   /// Drains every shard queue, then joins the workers.
   ~Monitor();
 
-  /// Registers a stream of `domain`, served by a private suite built from
-  /// `suite_factory` (typically serve::EraseSuiteFactory over a typed
-  /// factory, or a DomainRegistry entry). Every assertion the factory
-  /// produces must be qualified "<domain>/..." — unqualified or foreign
+  /// Registers a stream of `domain`, scored by the private bundle
+  /// `suite_factory` builds (typically serve::EraseSuiteFactory over a
+  /// typed factory, or a DomainRegistry entry). Every assertion name in
+  /// the bundle must be qualified "<domain>/..." — unqualified or foreign
   /// names are a typed error. Errors: kInvalidArgument (empty domain /
   /// null factory), kDuplicateStream, kInvalidSuite, kWrongDomain.
   Result<StreamHandle> RegisterStream(std::string_view domain,

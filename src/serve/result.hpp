@@ -29,7 +29,8 @@ enum class ErrorCode {
   kWrongDomain,
   /// RegisterStream was given a name that is already registered.
   kDuplicateStream,
-  /// The suite factory was null, threw, or produced an unusable suite.
+  /// The suite factory threw, or its bundle had no scorer or no assertion
+  /// names.
   kInvalidSuite,
   /// A batch larger than one shard's whole queue capacity.
   kBatchTooLarge,

@@ -158,10 +158,12 @@ shards = 3
 window = 32
 settle_lag = 4
 queue_capacity = 128
+stealing = false
 
 [admission]
 policy = shed_below_severity
 shed_floor = 0.75
+target_p99_ms = 12.5
 
 [suite video]
 assertions = [video.multibox, video.consistency]
@@ -241,6 +243,8 @@ TEST(ConfigLoader, LoadsAFullScenario) {
   EXPECT_EQ(runtime_config.admission,
             runtime::AdmissionPolicy::kShedBelowSeverity);
   EXPECT_DOUBLE_EQ(runtime_config.shed_floor, 0.75);
+  EXPECT_FALSE(runtime_config.stealing);
+  EXPECT_DOUBLE_EQ(runtime_config.latency_target_ms, 12.5);
   EXPECT_NO_THROW(runtime_config.Validate());
 
   const loop::ImprovementLoopConfig loop_config =
@@ -466,7 +470,9 @@ domain = video
 
   // ...and the streaming runtime emits the identical flag sequence.
   const std::string config_flags = FlagSequence<video::VideoExample>(
-      config::MakeSuiteFactory(factory, *scenario.SuiteFor("video")),
+      [&] {
+        return config::BuildSuiteBundle(factory, *scenario.SuiteFor("video"));
+      },
       examples);
   const std::string programmatic_flags = FlagSequence<video::VideoExample>(
       [] {

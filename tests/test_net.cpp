@@ -532,7 +532,9 @@ TEST(Server, ConcurrentTenantQuotaEnforcement) {
   // `free` is unlimited. Both hammer concurrently.
   options.tenants.push_back(
       {.name = "limited", .token = "", .quota_eps = 1.0, .burst = 64.0});
-  options.tenants.push_back({.name = "free"});
+  TenantOptions unlimited;
+  unlimited.name = "free";
+  options.tenants.push_back(unlimited);
   IngestServer server(options, *hosted.monitor, domains);
   server.ExposeStream(hosted.streams[0].handle);  // cam (video)
   server.ExposeStream(hosted.streams[1].handle);  // ward (ecg)
@@ -765,7 +767,7 @@ TEST(Server, CorruptCountHeaderCannotSkewTenantAccounting) {
   // 1. Payload corruption: framing intact, count trusted — 8 offered, 8
   //    decode errors.
   std::vector<std::uint8_t> payload_corrupt = good;
-  payload_corrupt.back() ^= 0xFF;
+  payload_corrupt.at(payload_corrupt.size() - 1) ^= 0xFF;
   ASSERT_TRUE(RawWriteAll(fd, payload_corrupt));
   // 2. Count-field corruption: header CRC fails, nothing countable, fatal.
   std::vector<std::uint8_t> count_corrupt = good;

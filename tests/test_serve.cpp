@@ -1,5 +1,5 @@
 // The type-erased serving facade: AnyExample storage semantics, erased
-// suites (qualified names, preserved radii, flag-sequence equivalence with
+// bundles (qualified names, a typed scorer, flag-sequence equivalence with
 // the templated engine for all four domains), mixed-domain hosting in one
 // Monitor, typed-error paths, and concurrent Subscribe/Unsubscribe under
 // load (the TSan job runs this binary).
@@ -136,32 +136,21 @@ runtime::SuiteFactory<Tick> TickSuiteFactory() {
   };
 }
 
-TEST(AnySuite, QualifiesNamesAndPreservesRadii) {
+TEST(AnySuite, QualifiesNamesAndRejectsForeignPayloads) {
   const AnySuiteBundle bundle =
       EraseSuiteBundle<Tick>("tick", TickSuiteFactory()());
-  ASSERT_EQ(bundle.suite->size(), 2u);
-  EXPECT_EQ(bundle.suite->Names(),
+  EXPECT_EQ(bundle.names,
             (std::vector<std::string>{"tick/positive", "tick/rising"}));
-  EXPECT_EQ(bundle.suite->at(0).temporal_radius(), 0u);
-  EXPECT_EQ(bundle.suite->at(1).temporal_radius(), 1u);
 
-  // Scoring through the erased suite matches the typed suite exactly.
-  std::vector<Tick> ticks;
-  std::vector<AnyExample> erased;
-  for (std::size_t i = 0; i < 24; ++i) {
-    const Tick tick{i, i % 5 == 0 ? 2.0 : -1.0};
-    ticks.push_back(tick);
-    erased.push_back(AnyExample::Make(tick));
-  }
-  const runtime::SuiteBundle<Tick> typed = TickSuiteFactory()();
-  const core::SeverityMatrix expected = typed.suite->CheckAll(ticks);
-  const core::SeverityMatrix actual = bundle.suite->CheckAll(erased);
-  ASSERT_GT(expected.TotalFired(), 0u);
-  for (std::size_t e = 0; e < expected.num_examples(); ++e) {
-    for (std::size_t a = 0; a < expected.num_assertions(); ++a) {
-      EXPECT_DOUBLE_EQ(actual.At(e, a), expected.At(e, a));
-    }
-  }
+  // A payload of another type poisons the batch with a CheckError (the
+  // facade's scoring itself is pinned by FacadeEquivalence below).
+  const std::unique_ptr<runtime::StreamScorer<AnyExample>> scorer =
+      bundle.scorer({16, 2});
+  std::vector<AnyExample> foreign;
+  foreign.push_back(AnyExample::Make(BigBlob{}));
+  EXPECT_THROW(scorer->ObserveBatch(std::move(foreign),
+                                    [](std::size_t, std::size_t, double) {}),
+               common::CheckError);
 }
 
 TEST(AnySuite, NameHelpers) {
@@ -555,7 +544,7 @@ TEST(Monitor, TypedErrorsForHandlesBatchesAndRegistration) {
   EXPECT_EQ(cross.code(), ErrorCode::kInvalidHandle);
 
   // Registration errors: empty domain, null factory, unqualified suite,
-  // duplicate names.
+  // throwing factory, a bundle without a scorer or names, duplicate names.
   EXPECT_EQ(monitor->RegisterStream("", nullptr).code(),
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(monitor->RegisterStream("tick", nullptr).code(),
@@ -570,6 +559,22 @@ TEST(Monitor, TypedErrorsForHandlesBatchesAndRegistration) {
       });
   ASSERT_FALSE(throwing.ok());
   EXPECT_EQ(throwing.code(), ErrorCode::kInvalidSuite);
+  Result<StreamHandle> no_scorer = monitor->RegisterStream("tick", [] {
+    AnySuiteBundle bundle =
+        EraseSuiteBundle<Tick>("tick", TickSuiteFactory()());
+    bundle.scorer = nullptr;
+    return bundle;
+  });
+  ASSERT_FALSE(no_scorer.ok());
+  EXPECT_EQ(no_scorer.code(), ErrorCode::kInvalidSuite);
+  Result<StreamHandle> no_names = monitor->RegisterStream("tick", [] {
+    AnySuiteBundle bundle =
+        EraseSuiteBundle<Tick>("tick", TickSuiteFactory()());
+    bundle.names.clear();
+    return bundle;
+  });
+  ASSERT_FALSE(no_names.ok());
+  EXPECT_EQ(no_names.code(), ErrorCode::kInvalidSuite);
 
   Result<StreamHandle> first = monitor->RegisterStream(
       "tick", EraseSuiteFactory<Tick>("tick", TickSuiteFactory()),

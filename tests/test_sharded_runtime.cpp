@@ -3,6 +3,7 @@
 // Observe/Flush/hot-swap (the TSan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -350,6 +351,14 @@ TEST(ShardedService, ShedBelowSeverityShedsUnimportantAdmitsImportant) {
             5u);
 }
 
+/// Emits a firing for an assertion index past its stream's names.
+class StrayIndexScorer final : public StreamScorer<Tick> {
+ public:
+  void ObserveBatch(std::vector<Tick> batch, const EmitFn& emit) override {
+    emit(0, batch.size(), 1.0);
+  }
+};
+
 TEST(ShardedService, ThrowingAssertionPoisonsBatchAndIsCounted) {
   ShardedRuntimeConfig config;
   config.shards = 2;
@@ -365,22 +374,30 @@ TEST(ShardedService, ThrowingAssertionPoisonsBatchAndIsCounted) {
   });
   const StreamId bad = service.RegisterStream("bad");
   const StreamId good = service.RegisterStream("good");
+  // A scorer emitting an unknown assertion index poisons its batch too.
+  const StreamId stray = service.RegisterStream(
+      "stray", {"only"}, [](const StreamScorerParams&) {
+        return std::make_unique<StrayIndexScorer>();
+      });
   service.ObserveBatch(bad, {Tick{1.0}, Tick{10.0}});
   service.ObserveBatch(good, {Tick{1.0}, Tick{2.0}, Tick{3.0}});
+  service.ObserveBatch(stray, {Tick{1.0}, Tick{2.0}, Tick{3.0}, Tick{4.0}});
   service.Flush();
 
-  const auto errors = service.Errors();
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("bad"), std::string::npos);
+  std::vector<std::string> errors = service.Errors();
+  ASSERT_EQ(errors.size(), 2u);
+  std::sort(errors.begin(), errors.end());  // shards report in any order
+  EXPECT_EQ(errors[0].rfind("bad: ", 0), 0u);
+  EXPECT_EQ(errors[1].rfind("stray: ", 0), 0u);
   const MetricsSnapshot snapshot = service.Metrics();
   EXPECT_EQ(snapshot.streams.at(good).examples_seen, 3u);
-  // The poisoned batch lands in the errored counters, so the accounting
+  // The poisoned batches land in the errored counters, so the accounting
   // identity offered == scored + shed + dropped + errored still holds.
-  EXPECT_EQ(snapshot.TotalErroredExamples(), 2u);
+  EXPECT_EQ(snapshot.TotalErroredExamples(), 6u);
   EXPECT_EQ(snapshot.examples_seen + snapshot.TotalShedExamples() +
                 snapshot.TotalDroppedExamples() +
                 snapshot.TotalErroredExamples(),
-            5u);
+            9u);
 }
 
 // ----------------------------------------------------------------- metrics ---

@@ -75,7 +75,8 @@ std::uint64_t RunDigest(std::uint64_t seed, std::size_t shards,
   std::vector<StreamId> ids;
   std::vector<std::vector<Tick>> data;
   for (std::size_t s = 0; s < kStreams; ++s) {
-    ids.push_back(service.RegisterStream("s" + std::to_string(s)));
+    ids.push_back(
+        service.RegisterStream(std::string("s").append(std::to_string(s))));
     data.push_back(MakeStream(seed * 101 + s, kPerStream));
   }
 

@@ -82,7 +82,8 @@ TEST(StealStress, ImbalancedShardsStealAndOccupancyReconciles) {
   // shard 0 (id % kShards == 0) — one shard owns the entire hot set.
   std::vector<StreamId> hot;
   for (std::size_t s = 0; s < kShards * 4; ++s) {
-    const StreamId id = service.RegisterStream("s" + std::to_string(s));
+    const StreamId id =
+        service.RegisterStream(std::string("s").append(std::to_string(s)));
     if (id % kShards == 0) hot.push_back(id);
   }
   ASSERT_EQ(hot.size(), 4u);
