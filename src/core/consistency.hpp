@@ -123,7 +123,21 @@ class ConsistencyEngine {
                             const std::vector<ConsistencyRecord>& records,
                             std::size_t num_examples) const;
 
+  /// Analyze's `severities`, without building a Correction: what serving
+  /// reads. Same preconditions, same checks.
+  std::vector<std::vector<double>> Severities(
+      const std::vector<ConsistencyFrame>& frames,
+      const std::vector<ConsistencyRecord>& records,
+      std::size_t num_examples) const;
+
  private:
+  /// The one implementation behind both entry points; appends corrections
+  /// only when `corrections` is non-null.
+  std::vector<std::vector<double>> Run(
+      const std::vector<ConsistencyFrame>& frames,
+      const std::vector<ConsistencyRecord>& records, std::size_t num_examples,
+      std::vector<Correction>* corrections) const;
+
   ConsistencyConfig config_;
 };
 

@@ -6,8 +6,10 @@
 // A ConsistencyAnalyzer owns the engine plus a domain-provided extractor that
 // turns the example stream into frames/records (the Id and Attrs functions
 // live inside the extractor). All generated assertions share one analyzer,
-// and the analyzer memoises the latest analysis per input stream so a suite
-// run costs one engine pass, not one per generated column.
+// and the analyzer memoises the latest pass per input stream so a suite run
+// costs one extraction and one engine pass, not one per generated column.
+// A suite pass computes severities only; corrections are built on demand
+// from the same pass's extraction.
 #pragma once
 
 #include <functional>
@@ -29,7 +31,7 @@ struct ConsistencyExtraction {
   std::vector<ConsistencyRecord> records;
 };
 
-/// Runs a ConsistencyEngine over example streams, caching the last analysis.
+/// Runs a ConsistencyEngine over example streams, caching the last pass.
 template <typename Example>
 class ConsistencyAnalyzer {
  public:
@@ -47,28 +49,45 @@ class ConsistencyAnalyzer {
     return engine_.AssertionNames();
   }
 
-  /// Analysis of `examples`, memoised on (data pointer, size). The cache
-  /// makes one suite pass run the engine once; passing a *different* stream
+  /// Severities of `examples`, one column per generated assertion, without
+  /// building corrections: what a suite pass reads. Memoised on (data
+  /// pointer, size) with the extraction, so one suite pass runs the
+  /// extractor and the engine once; passing a *different* stream
   /// re-analyses.
-  const ConsistencyResult& Analyze(std::span<const Example> examples) {
-    if (cached_ != nullptr && cache_data_ == examples.data() &&
-        cache_size_ == examples.size()) {
-      return *cached_;
+  const std::vector<std::vector<double>>& Severities(
+      std::span<const Example> examples) {
+    if (!Cached(examples)) {
+      ConsistencyExtraction extraction = extract_(examples);
+      ConsistencyResult result;
+      result.severities = engine_.Severities(
+          extraction.frames, extraction.records, examples.size());
+      Store(examples, std::move(extraction), std::move(result), false);
     }
-    ConsistencyExtraction extraction = extract_(examples);
-    cached_ = std::make_unique<ConsistencyResult>(engine_.Analyze(
-        extraction.frames, extraction.records, examples.size()));
-    cache_records_ = std::move(extraction.records);
-    cache_data_ = examples.data();
-    cache_size_ = examples.size();
-    return *cached_;
+    return result_.severities;
   }
 
-  /// Records from the latest Analyze call — Correction::support_records
-  /// index into this vector.
+  /// Full analysis of `examples`, corrections included, memoised on the
+  /// same key. After a suite pass on the same stream it builds the
+  /// corrections from the cached extraction, without re-extracting.
+  const ConsistencyResult& Analyze(std::span<const Example> examples) {
+    if (!Cached(examples)) {
+      ConsistencyExtraction extraction = extract_(examples);
+      ConsistencyResult result = engine_.Analyze(
+          extraction.frames, extraction.records, examples.size());
+      Store(examples, std::move(extraction), std::move(result), true);
+    } else if (!has_corrections_) {
+      result_ = engine_.Analyze(extraction_.frames, extraction_.records,
+                                examples.size());
+      has_corrections_ = true;
+    }
+    return result_;
+  }
+
+  /// Records of the latest pass — Correction::support_records index into
+  /// this vector.
   const std::vector<ConsistencyRecord>& LatestRecords() const {
-    common::Check(cached_ != nullptr, "Analyze must run first");
-    return cache_records_;
+    common::Check(cached_, "Analyze must run first");
+    return extraction_.records;
   }
 
   /// Corrections from the latest analysis of `examples`.
@@ -77,22 +96,44 @@ class ConsistencyAnalyzer {
     return Analyze(examples).corrections;
   }
 
-  /// Drops the memoised analysis. Callers must invalidate whenever example
+  /// Drops the memoised pass. Callers must invalidate whenever example
   /// content may have changed without the (pointer, size) key changing —
   /// e.g. a freshly allocated stream of the same length after retraining
   /// the model (allocator reuse can alias the key).
   void Invalidate() {
-    cached_.reset();
-    cache_records_.clear();
+    cached_ = false;
+    has_corrections_ = false;
+    extraction_ = {};
+    result_ = {};
     cache_data_ = nullptr;
     cache_size_ = 0;
   }
 
  private:
+  bool Cached(std::span<const Example> examples) const {
+    return cached_ && cache_data_ == examples.data() &&
+           cache_size_ == examples.size();
+  }
+
+  void Store(std::span<const Example> examples,
+             ConsistencyExtraction extraction, ConsistencyResult result,
+             bool has_corrections) {
+    extraction_ = std::move(extraction);
+    result_ = std::move(result);
+    has_corrections_ = has_corrections;
+    cache_data_ = examples.data();
+    cache_size_ = examples.size();
+    cached_ = true;
+  }
+
   ConsistencyEngine engine_;
   ExtractFn extract_;
-  std::unique_ptr<ConsistencyResult> cached_;
-  std::vector<ConsistencyRecord> cache_records_;
+  /// The memo: one key's extraction and result. Until `has_corrections_`
+  /// the result holds only the severities.
+  bool cached_ = false;
+  bool has_corrections_ = false;
+  ConsistencyExtraction extraction_;
+  ConsistencyResult result_;
   const Example* cache_data_ = nullptr;
   std::size_t cache_size_ = 0;
 };
@@ -109,11 +150,12 @@ class GeneratedConsistencyAssertion final : public Assertion<Example> {
         column_(column) {}
 
   std::vector<double> CheckAll(std::span<const Example> examples) override {
-    const ConsistencyResult& result = analyzer_->Analyze(examples);
+    const std::vector<std::vector<double>>& severities =
+        analyzer_->Severities(examples);
     common::CheckIndex(static_cast<std::ptrdiff_t>(column_), 0,
-                       static_cast<std::ptrdiff_t>(result.severities.size()),
+                       static_cast<std::ptrdiff_t>(severities.size()),
                        "generated assertion column");
-    return result.severities[column_];
+    return severities[column_];
   }
 
  private:

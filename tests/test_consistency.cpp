@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <tuple>
+
 #include "common/check.hpp"
+#include "common/example_gen.hpp"
+#include "common/rng.hpp"
 #include "core/consistency.hpp"
 #include "core/consistency_adapter.hpp"
+#include "ecg/factory.hpp"
+#include "tvnews/factory.hpp"
+#include "video/factory.hpp"
 
 namespace omg::core {
 namespace {
@@ -383,6 +392,359 @@ TEST(ConsistencyAdapter, InvalidateForcesReanalysis) {
   analyzer.Invalidate();
   const auto& second = analyzer.Analyze(stream);
   EXPECT_DOUBLE_EQ(second.severities[0][2], 0.0);
+}
+
+TEST(ConsistencyAdapter, SuitePassThenCorrectionsExtractsOnce) {
+  int extractions = 0;
+  const auto counting = [&extractions](std::span<const ToyExample> ex) {
+    ++extractions;
+    return ExtractToy(ex);
+  };
+  ConsistencyConfig config;
+  config.temporal_threshold = 3.0;
+  AssertionSuite<ToyExample> suite;
+  auto analyzer = AddConsistencyAssertion<ToyExample>(suite, config, counting);
+  // Flicker gaps at 2, 5 and 7 and a brief appearance at 6: both kinds.
+  std::vector<ToyExample> stream;
+  for (std::size_t i = 0; i < 10; ++i) {
+    stream.push_back({static_cast<double>(i), i != 2 && i != 5 && i != 7});
+  }
+  (void)suite.CheckAll(stream);
+  const std::vector<Correction> corrections = analyzer->Corrections(stream);
+  const std::vector<ConsistencyRecord> records = analyzer->LatestRecords();
+  EXPECT_EQ(extractions, 1);
+
+  ConsistencyAnalyzer<ToyExample> fresh(config, counting);
+  const ConsistencyResult& expected = fresh.Analyze(stream);
+  EXPECT_EQ(extractions, 2);
+  EXPECT_EQ(analyzer->Analyze(stream).severities, expected.severities);
+  ASSERT_EQ(corrections.size(), expected.corrections.size());
+  ASSERT_GE(corrections.size(), 2u);
+  for (std::size_t c = 0; c < corrections.size(); ++c) {
+    EXPECT_EQ(corrections[c].kind, expected.corrections[c].kind);
+    EXPECT_EQ(corrections[c].example_index,
+              expected.corrections[c].example_index);
+    EXPECT_EQ(corrections[c].output_index,
+              expected.corrections[c].output_index);
+    EXPECT_EQ(corrections[c].support_records,
+              expected.corrections[c].support_records);
+  }
+  ASSERT_EQ(records.size(), fresh.LatestRecords().size());
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    EXPECT_EQ(records[r].example_index,
+              fresh.LatestRecords()[r].example_index);
+  }
+  EXPECT_EQ(extractions, 2);
+}
+
+// ---- Pinned results ----
+//
+// Digests of whole ConsistencyResults: the names, every severity, and every
+// field of every correction in order. Corrections become weak labels, so a
+// change to any flag, correction or correction order must show here;
+// update a digest only for an intended change of behaviour. Each pinned
+// stream also checks that the severities-only entry equals Analyze's
+// severities.
+
+/// FNV-1a over a result's fields, in order.
+class ResultDigest {
+ public:
+  void Add(const ConsistencyResult& result) {
+    Size(result.assertion_names.size());
+    for (const auto& name : result.assertion_names) String(name);
+    Size(result.severities.size());
+    for (const auto& column : result.severities) {
+      Size(column.size());
+      for (const double s : column) Double(s);
+    }
+    Size(result.corrections.size());
+    for (const auto& c : result.corrections) {
+      Size(static_cast<std::size_t>(c.kind));
+      String(c.group);
+      String(c.identifier);
+      Size(c.example_index);
+      Double(c.timestamp);
+      Size(static_cast<std::size_t>(c.output_index));
+      String(c.attribute_key);
+      String(c.proposed_value);
+      Size(c.support_records.size());
+      for (const std::size_t r : c.support_records) Size(r);
+    }
+  }
+
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Bytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 1099511628211ULL;
+    }
+  }
+  void Size(std::size_t n) {
+    const auto v = static_cast<std::uint64_t>(n);
+    Bytes(&v, sizeof v);
+  }
+  void Double(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    Bytes(&bits, sizeof bits);
+  }
+  void String(const std::string& s) {
+    Size(s.size());
+    Bytes(s.data(), s.size());
+  }
+
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+/// Counts of each correction kind, so a digest never pins an empty result.
+std::map<CorrectionKind, std::size_t> KindCounts(
+    const ConsistencyResult& result) {
+  std::map<CorrectionKind, std::size_t> counts;
+  for (const auto& c : result.corrections) ++counts[c.kind];
+  return counts;
+}
+
+/// Seeded model-backed traffic, the same generator the serving benchmarks
+/// and the scenario harness use.
+struct DomainStreams {
+  std::vector<video::VideoExample> video;
+  std::vector<ecg::EcgExample> ecg;
+  std::vector<tvnews::NewsFrame> news;
+};
+
+template <typename T>
+std::vector<T> Typed(const std::vector<serve::AnyExample>& erased) {
+  std::vector<T> typed;
+  for (const auto& example : erased) typed.push_back(example.Get<T>());
+  return typed;
+}
+
+const DomainStreams& GoldenStreams() {
+  static const DomainStreams streams = [] {
+    config::ScenarioSpec scenario;
+    for (const auto& [domain, examples, seed] :
+         {std::tuple<const char*, std::size_t, std::uint64_t>{"video", 400, 7},
+          {"ecg", 720, 11},
+          {"tvnews", 600, 3}}) {
+      config::StreamSpec stream;
+      stream.name = domain;
+      stream.domain = domain;
+      stream.examples = examples;
+      stream.seed = seed;
+      scenario.streams.push_back(stream);
+    }
+    const common::TrafficMap traffic =
+        common::GenerateScenarioTraffic(scenario);
+    DomainStreams out;
+    out.video = Typed<video::VideoExample>(traffic.at("video"));
+    out.ecg = Typed<ecg::EcgExample>(traffic.at("ecg"));
+    out.news = Typed<tvnews::NewsFrame>(traffic.at("tvnews"));
+    return out;
+  }();
+  return streams;
+}
+
+/// Analyze on one extraction, checking that the severities-only entry gives
+/// the same severities.
+ConsistencyResult AnalyzeExtraction(const ConsistencyConfig& config,
+                                    const ConsistencyExtraction& extraction,
+                                    std::size_t num_examples) {
+  const ConsistencyEngine engine(config);
+  ConsistencyResult result =
+      engine.Analyze(extraction.frames, extraction.records, num_examples);
+  EXPECT_EQ(
+      engine.Severities(extraction.frames, extraction.records, num_examples),
+      result.severities);
+  return result;
+}
+
+TEST(ConsistencyGolden, VideoTrackerStream) {
+  const auto& stream = GoldenStreams().video;
+  ConsistencyConfig config;
+  config.temporal_threshold = 1.0;
+  const ConsistencyResult result = AnalyzeExtraction(
+      config, video::ExtractVideoRecords(stream, geometry::TrackerConfig{}),
+      stream.size());
+  const auto kinds = KindCounts(result);
+  EXPECT_GT(kinds.count(CorrectionKind::kAddOutput), 0u);
+  EXPECT_GT(kinds.count(CorrectionKind::kRemoveOutput), 0u);
+  ResultDigest digest;
+  digest.Add(result);
+  EXPECT_EQ(digest.value(), 9151850809845138967ULL);
+}
+
+TEST(ConsistencyGolden, EcgRhythmStream) {
+  const auto& stream = GoldenStreams().ecg;
+  ConsistencyConfig config;
+  config.temporal_threshold = 30.0;
+  const ConsistencyResult result = AnalyzeExtraction(
+      config, ecg::ExtractEcgRecords(stream), stream.size());
+  const auto kinds = KindCounts(result);
+  EXPECT_GT(kinds.count(CorrectionKind::kAddOutput), 0u);
+  EXPECT_GT(kinds.count(CorrectionKind::kRemoveOutput), 0u);
+  ResultDigest digest;
+  digest.Add(result);
+  EXPECT_EQ(digest.value(), 1546939315405535711ULL);
+}
+
+TEST(ConsistencyGolden, NewsAttributeStream) {
+  // Attribute keys over many scene groups, with and without the temporal
+  // columns.
+  const auto& stream = GoldenStreams().news;
+  const ConsistencyExtraction extraction = tvnews::ExtractNewsRecords(stream);
+  ConsistencyConfig config;
+  config.attribute_keys = {"identity", "gender", "hair"};
+  ResultDigest digest;
+  const ConsistencyResult attributes =
+      AnalyzeExtraction(config, extraction, stream.size());
+  EXPECT_GT(KindCounts(attributes).count(CorrectionKind::kSetAttribute), 0u);
+  digest.Add(attributes);
+  config.temporal_threshold = 2.0;
+  digest.Add(AnalyzeExtraction(config, extraction, stream.size()));
+  EXPECT_EQ(digest.value(), 4312394749715035487ULL);
+}
+
+/// A random multi-group stream with the engine's corner cases: groups out
+/// of name order, frames and records shuffled (timestamps and records out
+/// of frame order), repeated example indices within a group, equal
+/// timestamps, several outputs of one identifier on one frame, repeated
+/// attribute keys in one record, and attribute values that tie for the
+/// mode.
+struct RandomStream {
+  std::vector<ConsistencyFrame> frames;
+  std::vector<ConsistencyRecord> records;
+  std::size_t num_examples = 0;
+  ConsistencyConfig config;
+};
+
+/// One of three attribute values, so values often tie for the mode.
+std::string RandomValue(common::Rng& rng) {
+  return std::string("v").append(std::to_string(rng.UniformInt(0, 2)));
+}
+
+RandomStream MakeRandomStream(std::uint64_t seed) {
+  common::Rng rng(seed);
+  RandomStream s;
+  std::size_t next_example = 0;
+  const std::int64_t groups = rng.UniformInt(1, 4);
+  for (std::int64_t g = 0; g < groups; ++g) {
+    const std::string group = "g" + std::to_string(rng.UniformInt(0, 5));
+    std::vector<ConsistencyFrame> timeline;
+    double ts = rng.Uniform(0.0, 4.0);
+    const std::int64_t length = rng.UniformInt(1, 30);
+    for (std::int64_t i = 0; i < length; ++i) {
+      std::size_t example = next_example;
+      if (!timeline.empty() && rng.Bernoulli(0.05)) {
+        example = timeline[static_cast<std::size_t>(rng.UniformInt(
+                               0, static_cast<std::int64_t>(timeline.size()) -
+                                      1))]
+                      .example_index;
+      } else {
+        ++next_example;
+      }
+      if (!rng.Bernoulli(0.1)) ts += rng.Uniform(0.2, 1.5);
+      timeline.push_back({example, ts, group});
+    }
+    const std::int64_t identifiers = rng.UniformInt(1, 5);
+    for (std::int64_t id = 0; id < identifiers; ++id) {
+      const double presence = rng.Uniform(0.3, 0.9);
+      for (const auto& frame : timeline) {
+        if (!rng.Bernoulli(presence)) continue;
+        const int outputs = rng.Bernoulli(0.1) ? 2 : 1;
+        for (int o = 0; o < outputs; ++o) {
+          ConsistencyRecord record;
+          record.example_index = frame.example_index;
+          record.output_index = static_cast<std::int64_t>(s.records.size());
+          record.timestamp = frame.timestamp;
+          record.group = group;
+          record.identifier = "id-" + std::to_string(id);
+          for (const char* key : {"a", "b"}) {
+            if (rng.Bernoulli(0.2)) continue;
+            record.attributes.emplace_back(key, RandomValue(rng));
+          }
+          if (rng.Bernoulli(0.05)) {
+            record.attributes.emplace_back("a", RandomValue(rng));
+          }
+          s.records.push_back(std::move(record));
+        }
+      }
+    }
+    s.frames.insert(s.frames.end(), timeline.begin(), timeline.end());
+  }
+  rng.Shuffle(s.frames);
+  rng.Shuffle(s.records);
+  s.num_examples =
+      next_example + static_cast<std::size_t>(rng.UniformInt(0, 3));
+  s.config.temporal_threshold =
+      rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.5, 6.0);
+  for (const char* key : {"a", "b", "c"}) {
+    if (rng.Bernoulli(0.5)) s.config.attribute_keys.emplace_back(key);
+  }
+  return s;
+}
+
+TEST(ConsistencyGolden, RandomMultiGroupSweep) {
+  ResultDigest digest;
+  std::size_t corrections = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    const RandomStream s = MakeRandomStream(seed);
+    const ConsistencyEngine engine(s.config);
+    const ConsistencyResult result =
+        engine.Analyze(s.frames, s.records, s.num_examples);
+    EXPECT_EQ(engine.Severities(s.frames, s.records, s.num_examples),
+              result.severities)
+        << "seed " << seed;
+    corrections += result.corrections.size();
+    digest.Add(result);
+  }
+  EXPECT_GT(corrections, 0u);
+  EXPECT_EQ(digest.value(), 16127585641691523143ULL);
+}
+
+// ---- Malformed streams ----
+
+// Both entry points throw the same CheckError on each malformed input.
+TEST(ConsistencyEngine, BothEntryPointsRejectMalformedStreams) {
+  const auto engine = TemporalEngine(3.0);
+  const auto frames = LinearFrames(3);
+  const auto message = [&engine](const std::vector<ConsistencyFrame>& f,
+                                 const std::vector<ConsistencyRecord>& r,
+                                 std::size_t n, bool severities_only) {
+    try {
+      if (severities_only) {
+        (void)engine.Severities(f, r, n);
+      } else {
+        (void)engine.Analyze(f, r, n);
+      }
+    } catch (const common::CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  struct Case {
+    const char* expected;
+    std::vector<ConsistencyFrame> frames;
+    std::vector<ConsistencyRecord> records;
+  };
+  const std::vector<Case> cases = {
+      {"record example_index out of range", frames, {MakeRecord(3, 3.0, "x")}},
+      {"frame example_index out of range",
+       {{0, 0.0, "g"}, {7, 1.0, "g"}},
+       {MakeRecord(0, 0.0, "x")}},
+      {"records reference group with no frames: h",
+       frames,
+       {MakeRecord(0, 0.0, "x"), MakeRecord(1, 1.0, "x", "h")}},
+      {"record example missing from frame timeline",
+       {{0, 0.0, "g"}, {2, 2.0, "g"}},
+       {MakeRecord(0, 0.0, "x"), MakeRecord(1, 1.0, "x")}},
+  };
+  for (const Case& c : cases) {
+    const std::string analyze = message(c.frames, c.records, 3, false);
+    EXPECT_NE(analyze.find(c.expected), std::string::npos) << analyze;
+    EXPECT_EQ(message(c.frames, c.records, 3, true), analyze);
+  }
 }
 
 }  // namespace

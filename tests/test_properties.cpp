@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "bandit/bal.hpp"
 #include "common/rng.hpp"
@@ -94,10 +95,19 @@ TEST_P(ConsistencyRandomStream, InvariantsHold) {
       }
     }
   }
-  // (4) determinism: re-analysis is identical.
+  // (4) determinism: re-analysis is identical, corrections field by field.
   const auto again = engine.Analyze(frames, records, param.frames);
   EXPECT_EQ(again.severities, result.severities);
-  EXPECT_EQ(again.corrections.size(), result.corrections.size());
+  const auto fields = [](const core::Correction& c) {
+    return std::tie(c.kind, c.group, c.identifier, c.example_index,
+                    c.timestamp, c.output_index, c.attribute_key,
+                    c.proposed_value, c.support_records);
+  };
+  ASSERT_EQ(again.corrections.size(), result.corrections.size());
+  for (std::size_t c = 0; c < result.corrections.size(); ++c) {
+    EXPECT_TRUE(fields(again.corrections[c]) == fields(result.corrections[c]))
+        << "correction " << c;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
