@@ -1,26 +1,23 @@
 // Serving-runtime throughput: examples/sec of the sharded,
 // backpressure-aware serving engine (runtime/sharded_service.hpp) vs. a
-// per-example StreamingMonitor loop over the same workload:
+// per-example StreamingMonitor loop over the same workload. Runs, in order:
 //
+//   * the per-example baseline, whose event count every later run must
+//     reproduce,
 //   * a `--shards` sweep over ShardedMonitorService reporting throughput
 //     and the p50/p95/p99 observe-to-flag latency per shard count,
+//   * a facade comparison: the same workload through the type-erased
+//     serve::Monitor (AnyExample wrapping, domain checks, and moving
+//     payloads into a typed window) vs. the directly templated
+//     ShardedMonitorService at the same shard count — the erasure tax of
+//     hosting heterogeneous domains in one runtime (target: <= 10%),
+//   * a tracing comparison: no tracer vs. a tracer attached but disabled
+//     vs. sampled tracing on, and
 //   * a saturation bench that paces offered load past capacity against a
 //     small bounded queue under ShedBelowSeverity, recording the
 //     throughput/latency knee — achieved eps tracks offered until the
 //     knee, then plateaus while p99 hits the queue bound and the shed
-//     counters (not the queue depth) absorb the overload, and
-//   * a `--facade` comparison (on by default): the same workload through
-//     the type-erased serve::Monitor (AnyExample wrapping, domain checks,
-//     and moving payloads into a typed window) vs. the directly templated
-//     ShardedMonitorService at the same shard count — the erasure tax of
-//     hosting heterogeneous domains in one runtime (target: <= 10%), and
-//   * a `--net` networked saturation bench (on by default): a
-//     net::IngestServer hosting a video+ecg monitor, driven flat-out by
-//     net::RunLoadClient over a Unix-domain socket and over loopback TCP —
-//     end-to-end wire throughput (encode + syscalls + reassembly + decode
-//     + scoring) with the wire accounting identity checked:
-//     offered == scored + shed + dropped + errored + quota_rejected
-//     + decode_errors.
+//     counters (not the queue depth) absorb the overload.
 //
 // The workload is synthetic but shaped like the paper's deployments: two
 // pointwise assertions plus two bounded stream-level assertions (temporal
@@ -29,16 +26,13 @@
 // ingests batches, so bounded-radius suffix re-scoring amortizes across the
 // batch instead of being repeated per example.
 //
-// Prints tables and writes machine-readable results to --json (default
-// BENCH_runtime.json) so the perf trajectory is trackable across PRs.
-#include <unistd.h>
-
+// Flags: `--examples N` (per stream), `--shards 1,2,4,8` and `--json PATH`
+// (default BENCH_runtime.json). Prints tables and writes machine-readable
+// results to the JSON file, which tools/check_bench_regression.py and
+// tools/check_trace_export.py gate.
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <span>
@@ -51,20 +45,12 @@
 #include "common/example_gen.hpp"
 #include "common/flags.hpp"
 #include "common/table.hpp"
-#include "config/monitor_loader.hpp"
-#include "config/scenario.hpp"
-#include "config/spec.hpp"
 #include "core/assertion.hpp"
 #include "core/monitor.hpp"
-#include "net/client.hpp"
-#include "net/server.hpp"
 #include "obs/tracer.hpp"
-#include "replay/replay.hpp"
-#include "replay/trace_file.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/event_sink.hpp"
 #include "runtime/sharded_service.hpp"
-#include "serve/domains.hpp"
 #include "serve/monitor.hpp"
 
 /// One model invocation: the shared generator module's feature-vector
@@ -90,6 +76,24 @@ struct DomainTraits<Sample> {
 namespace {
 
 using namespace omg;
+
+/// The fixed workload shape: streams, examples per ingest batch, window
+/// geometry, and the generator seed (stream s draws from kSeed + s).
+constexpr std::size_t kStreams = 8;
+constexpr std::size_t kBatch = 256;
+constexpr std::size_t kWindow = 128;
+constexpr std::size_t kSettleLag = 16;
+constexpr std::uint64_t kSeed = 42;
+
+// The suite's largest temporal radius is 8 ("drift"). Equivalence across
+// per-example and batched configurations needs settled verdicts to be
+// final (settle >= radius) and suffix re-scoring to keep its 2r context
+// (window > 2 * radius).
+constexpr std::size_t kMaxRadius = 8;
+static_assert(kSettleLag >= kMaxRadius && kWindow > 2 * kMaxRadius &&
+                  kSettleLag < kWindow,
+              "settle lag must cover the largest radius; window must exceed "
+              "twice the radius and the settle lag");
 
 double Magnitude(const Sample& sample) {
   double total = 0.0;
@@ -213,14 +217,13 @@ double Seconds(Clock::time_point begin, Clock::time_point end) {
 
 /// Baseline: one StreamingMonitor per stream, fed one example at a time,
 /// round-robin across streams (the seed's only serving mode).
-RunResult RunBaseline(const std::vector<std::vector<Sample>>& streams,
-                      std::size_t window, std::size_t settle_lag) {
+RunResult RunBaseline(const std::vector<std::vector<Sample>>& streams) {
   std::vector<core::AssertionSuite<Sample>> suites(streams.size());
   std::vector<core::StreamingMonitor<Sample>> monitors;
   monitors.reserve(streams.size());
   for (std::size_t s = 0; s < streams.size(); ++s) {
     PopulateSuite(suites[s]);
-    monitors.emplace_back(suites[s], window, settle_lag);
+    monitors.emplace_back(suites[s], kWindow, kSettleLag);
   }
   RunResult result;
   const auto begin = Clock::now();
@@ -240,19 +243,18 @@ RunResult RunBaseline(const std::vector<std::vector<Sample>>& streams,
 /// the kBlock policy never engages, every batch admitted and scored.
 /// `tracer` (optional) rides along for the tracing-overhead comparison.
 ShardedRunResult RunSharded(const std::vector<std::vector<Sample>>& streams,
-                            std::size_t shards, std::size_t batch_size,
-                            std::size_t window, std::size_t settle_lag,
+                            std::size_t shards,
                             std::shared_ptr<obs::Tracer> tracer = nullptr) {
   runtime::ShardedRuntimeConfig config;
   config.shards = shards;
-  config.window = window;
-  config.settle_lag = settle_lag;
+  config.window = kWindow;
+  config.settle_lag = kSettleLag;
   // Fixed aggregate buffer budget: each shard gets its share (never less
   // than one batch). Without this, total buffered backlog — and with it
   // tail queue wait — grows linearly with the shard count, and the sweep
   // measures buffering instead of scaling.
-  const std::size_t queue_budget = std::max<std::size_t>(batch_size * 16, 4096);
-  config.queue_capacity = std::max(batch_size, queue_budget / shards);
+  const std::size_t queue_budget = std::max<std::size_t>(kBatch * 16, 4096);
+  config.queue_capacity = std::max(kBatch, queue_budget / shards);
   config.admission = runtime::AdmissionPolicy::kBlock;
   config.tracer = std::move(tracer);
   runtime::ShardedMonitorService<Sample> service(config, [] {
@@ -270,8 +272,8 @@ ShardedRunResult RunSharded(const std::vector<std::vector<Sample>>& streams,
   ShardedRunResult result;
   const auto begin = Clock::now();
   const std::size_t n = streams.front().size();
-  for (std::size_t offset = 0; offset < n; offset += batch_size) {
-    const std::size_t count = std::min(batch_size, n - offset);
+  for (std::size_t offset = 0; offset < n; offset += kBatch) {
+    const std::size_t count = std::min(kBatch, n - offset);
     for (std::size_t s = 0; s < streams.size(); ++s) {
       service.ObserveBatch(
           ids[s], std::vector<Sample>(streams[s].begin() + offset,
@@ -304,16 +306,15 @@ ShardedRunResult RunSharded(const std::vector<std::vector<Sample>>& streams,
 /// unfiltered subscription. The throughput delta against RunSharded at the
 /// same shard count is the facade's dispatch overhead.
 ShardedRunResult RunFacade(const std::vector<std::vector<Sample>>& streams,
-                           std::size_t shards, std::size_t batch_size,
-                           std::size_t window, std::size_t settle_lag) {
+                           std::size_t shards) {
   runtime::ShardedRuntimeConfig config;
   config.shards = shards;
-  config.window = window;
-  config.settle_lag = settle_lag;
+  config.window = kWindow;
+  config.settle_lag = kSettleLag;
   // Same aggregate buffer budget as RunSharded, so the two paths see the
   // same queueing and the throughput delta isolates dispatch overhead.
-  const std::size_t queue_budget = std::max<std::size_t>(batch_size * 16, 4096);
-  config.queue_capacity = std::max(batch_size, queue_budget / shards);
+  const std::size_t queue_budget = std::max<std::size_t>(kBatch * 16, 4096);
+  config.queue_capacity = std::max(kBatch, queue_budget / shards);
   config.admission = runtime::AdmissionPolicy::kBlock;
   serve::Result<std::unique_ptr<serve::Monitor>> built =
       serve::Monitor::Builder().Runtime(config).Build();
@@ -341,8 +342,8 @@ ShardedRunResult RunFacade(const std::vector<std::vector<Sample>>& streams,
   ShardedRunResult result;
   const auto begin = Clock::now();
   const std::size_t n = streams.front().size();
-  for (std::size_t offset = 0; offset < n; offset += batch_size) {
-    const std::size_t count = std::min(batch_size, n - offset);
+  for (std::size_t offset = 0; offset < n; offset += kBatch) {
+    const std::size_t count = std::min(kBatch, n - offset);
     for (std::size_t s = 0; s < streams.size(); ++s) {
       common::Check(
           monitor
@@ -386,12 +387,11 @@ SaturationPoint RunSaturationPoint(
     const std::vector<std::vector<Sample>>& streams,
     const std::vector<std::vector<double>>& hints, double shed_floor,
     double offered_frac, double reference_eps, std::size_t shards,
-    std::size_t batch_size, std::size_t window, std::size_t settle_lag,
     std::size_t queue_capacity) {
   runtime::ShardedRuntimeConfig config;
   config.shards = shards;
-  config.window = window;
-  config.settle_lag = settle_lag;
+  config.window = kWindow;
+  config.settle_lag = kSettleLag;
   config.queue_capacity = queue_capacity;
   config.admission = runtime::AdmissionPolicy::kShedBelowSeverity;
   config.shed_floor = shed_floor;
@@ -412,14 +412,14 @@ SaturationPoint RunSaturationPoint(
   std::size_t submitted = 0;
   const auto begin = Clock::now();
   auto next_deadline = begin;
-  for (std::size_t offset = 0; offset < n; offset += batch_size) {
-    const std::size_t count = std::min(batch_size, n - offset);
+  for (std::size_t offset = 0; offset < n; offset += kBatch) {
+    const std::size_t count = std::min(kBatch, n - offset);
     for (std::size_t s = 0; s < streams.size(); ++s) {
       service.ObserveBatch(
           ids[s],
           std::vector<Sample>(streams[s].begin() + offset,
                               streams[s].begin() + offset + count),
-          hints[s][offset / batch_size]);
+          hints[s][offset / kBatch]);
     }
     submitted += count * streams.size();
     next_deadline += std::chrono::duration_cast<Clock::duration>(
@@ -453,127 +453,23 @@ SaturationPoint RunSaturationPoint(
   return point;
 }
 
-/// One transport's networked saturation run.
-struct NetPoint {
-  std::string transport;  ///< "uds" | "tcp"
-  std::size_t connections = 0;
-  std::uint64_t offered = 0;
-  double examples_per_sec = 0.0;  ///< offered / client elapsed
-  std::uint64_t wire_bytes = 0;
-  std::uint64_t scored = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t errored = 0;
-  std::uint64_t quota_rejected = 0;
-  std::uint64_t decode_errors = 0;
-  bool reconciled = false;
-};
-
-/// Drives a fresh video+ecg monitor behind a net::IngestServer with
-/// net::RunLoadClient, flat out (unpaced — the client offers as fast as the
-/// wire accepts, so achieved throughput IS the wire's saturation rate).
-/// The server is open (no tenant roster): the load client's "bench" tenant
-/// authenticates without a token and is never quota-limited, so the
-/// identity reduces to offered == scored + shed + dropped + errored.
-NetPoint RunNetPoint(bool uds, std::size_t connections,
-                     std::size_t examples_per_connection,
-                     std::size_t batch_size) {
-  const serve::DomainRegistry domains = serve::MakeDefaultDomainRegistry();
-  const config::ScenarioSpec scenario =
-      config::ConfigLoader::Load(config::SpecDocument::Parse(R"(
-[scenario]
-name = "bench-net"
-[runtime]
-shards = 2
-window = 64
-settle_lag = 8
-queue_capacity = 8192
-[suite video]
-assertions = [video.multibox]
-[suite ecg]
-assertions = [ecg.oscillation]
-[stream cam]
-domain = video
-[stream ward]
-domain = ecg
-)"));
-  config::ScenarioMonitor hosted =
-      config::BuildScenarioMonitor(scenario, domains);
-
-  net::IngestServerOptions server_options;
-  if (uds) {
-    server_options.uds_path =
-        "/tmp/omg_bench_net_" + std::to_string(::getpid()) + ".sock";
-  } else {
-    server_options.tcp = true;  // ephemeral loopback port
-  }
-  net::IngestServer server(server_options, *hosted.monitor, domains);
-  for (const config::BoundStream& stream : hosted.streams) {
-    server.ExposeStream(stream.handle);
-  }
-  const serve::Result<net::ServerEndpoints> endpoints = server.Start();
-  common::Check(endpoints.ok(), "net bench: server failed to start");
-
-  net::LoadClientOptions load;
-  if (uds) {
-    load.uds_path = endpoints.value().uds_path;
-  } else {
-    load.tcp_port = endpoints.value().tcp_port;
-  }
-  load.streams = {{"bench", "", "cam", "video", 0.0},
-                  {"bench", "", "ward", "ecg", 0.0}};
-  load.connections = connections;
-  load.batch = batch_size;
-  load.examples_per_connection = examples_per_connection;
-  const serve::Result<net::LoadReport> driven =
-      net::RunLoadClient(load, domains);
-  common::Check(driven.ok(), "net bench: load client failed");
-  const net::LoadReport& report = driven.value();
-  server.Stop();
-
-  NetPoint point;
-  point.transport = uds ? "uds" : "tcp";
-  point.connections = connections;
-  point.offered = report.offered;
-  point.examples_per_sec =
-      report.elapsed_seconds > 0.0
-          ? static_cast<double>(report.offered) / report.elapsed_seconds
-          : 0.0;
-  point.wire_bytes = report.wire_bytes;
-  point.scored = report.scored;
-  point.shed = report.shed;
-  point.dropped = report.dropped;
-  point.errored = report.errored;
-  point.quota_rejected = report.server_quota_rejected;
-  point.decode_errors = report.server_decode_errors;
-  point.reconciled = report.reconciled;
-  common::Check(report.connection_errors == 0,
-                "net bench: connections died mid-run");
-  common::Check(point.reconciled,
-                "net bench: wire accounting did not reconcile");
-  return point;
-}
-
 void WriteJson(
-    const std::string& path, std::size_t streams, std::size_t examples,
-    std::size_t window, std::size_t settle_lag, std::size_t batch_size,
-    const RunResult& baseline,
+    const std::string& path, std::size_t examples, const RunResult& baseline,
     const std::vector<std::pair<std::size_t, ShardedRunResult>>& shard_sweep,
-    const ShardedRunResult* facade, std::size_t facade_shards,
+    const ShardedRunResult& facade, std::size_t facade_shards,
     double facade_templated_eps, double facade_overhead,
     const TracingComparison& tracing, std::size_t saturation_shards,
     std::size_t saturation_capacity, double shed_floor,
-    const std::vector<SaturationPoint>& saturation,
-    const std::vector<NetPoint>& net) {
+    const std::vector<SaturationPoint>& saturation) {
   std::ofstream out(path);
   common::Check(out.good(), "cannot open json output: " + path);
   out << "{\n"
       << "  \"bench\": \"runtime_throughput\",\n"
-      << "  \"streams\": " << streams << ",\n"
+      << "  \"streams\": " << kStreams << ",\n"
       << "  \"examples_per_stream\": " << examples << ",\n"
-      << "  \"window\": " << window << ",\n"
-      << "  \"settle_lag\": " << settle_lag << ",\n"
-      << "  \"batch\": " << batch_size << ",\n"
+      << "  \"window\": " << kWindow << ",\n"
+      << "  \"settle_lag\": " << kSettleLag << ",\n"
+      << "  \"batch\": " << kBatch << ",\n"
       << "  \"baseline\": {\"mode\": \"per_example_monitor\", \"seconds\": "
       << baseline.seconds << ", \"examples_per_sec\": "
       << baseline.examples_per_sec << ", \"events\": " << baseline.events
@@ -602,16 +498,13 @@ void WriteJson(
     out << "]}" << (i + 1 < shard_sweep.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  if (facade != nullptr) {
-    out << "  \"facade\": {\"shards\": " << facade_shards
-        << ", \"templated_examples_per_sec\": " << facade_templated_eps
-        << ", \"facade_examples_per_sec\": "
-        << facade->run.examples_per_sec
-        << ", \"overhead_frac\": " << facade_overhead
-        << ", \"observe_to_flag_ms\": {\"p50\": " << facade->p50_ms
-        << ", \"p95\": " << facade->p95_ms << ", \"p99\": " << facade->p99_ms
-        << "}},\n";
-  }
+  out << "  \"facade\": {\"shards\": " << facade_shards
+      << ", \"templated_examples_per_sec\": " << facade_templated_eps
+      << ", \"facade_examples_per_sec\": " << facade.run.examples_per_sec
+      << ", \"overhead_frac\": " << facade_overhead
+      << ", \"observe_to_flag_ms\": {\"p50\": " << facade.p50_ms
+      << ", \"p95\": " << facade.p95_ms << ", \"p99\": " << facade.p99_ms
+      << "}},\n";
   out << "  \"tracing\": {\"shards\": " << tracing.shards
       << ", \"sample_every\": " << tracing.sample_every
       << ", \"baseline_examples_per_sec\": " << tracing.baseline_eps
@@ -638,138 +531,14 @@ void WriteJson(
         << ", \"queue_depth_peak\": " << p.queue_depth_peak << "}"
         << (i + 1 < saturation.size() ? "," : "") << "\n";
   }
-  out << "    ]\n  }";
-  if (!net.empty()) {
-    out << ",\n  \"net\": [\n";
-    for (std::size_t i = 0; i < net.size(); ++i) {
-      const NetPoint& p = net[i];
-      out << "    {\"transport\": \"" << p.transport
-          << "\", \"connections\": " << p.connections
-          << ", \"offered\": " << p.offered
-          << ", \"examples_per_sec\": " << p.examples_per_sec
-          << ", \"wire_bytes\": " << p.wire_bytes
-          << ", \"scored\": " << p.scored << ", \"shed\": " << p.shed
-          << ", \"dropped\": " << p.dropped
-          << ", \"errored\": " << p.errored
-          << ", \"quota_rejected\": " << p.quota_rejected
-          << ", \"decode_errors\": " << p.decode_errors
-          << ", \"reconciled\": " << (p.reconciled ? "true" : "false")
-          << "}" << (i + 1 < net.size() ? "," : "") << "\n";
-    }
-    out << "  ]";
-  }
-  out << "\n}\n";
-}
-
-// ------------------------------------------------------------ replay mode ---
-
-/// `--replay TRACE`: replays a recorded trace unpaced through a fresh
-/// monitor twice (the second pass must reproduce the first's flag digest)
-/// and writes a replay-only BENCH_runtime.json — a fixed-workload
-/// throughput number that is comparable across commits because the input
-/// bytes are committed to the repo, not regenerated.
-int RunReplayBench(const std::string& trace_path, std::string config_path,
-                   const std::string& json_path) {
-  const serve::DomainRegistry domains = serve::MakeDefaultDomainRegistry();
-  serve::Result<replay::TraceReader> reader =
-      replay::TraceReader::Open(trace_path);
-  if (!reader.ok()) {
-    std::cerr << "replay bench: " << reader.error().message << "\n";
-    return 1;
-  }
-  const replay::TraceInfo& info = reader.value().info();
-  if (config_path.empty()) {
-    // The shipped traces are named after their scenario configs; config
-    // file names use underscores where scenario names use hyphens.
-    std::string file_name = info.scenario;
-    std::replace(file_name.begin(), file_name.end(), '-', '_');
-    for (const char* prefix : {"configs/", "../configs/"}) {
-      for (const std::string& stem : {info.scenario, file_name}) {
-        const std::string candidate = prefix + stem + ".conf";
-        if (std::filesystem::exists(candidate)) {
-          config_path = candidate;
-          break;
-        }
-      }
-      if (!config_path.empty()) break;
-    }
-  }
-  if (config_path.empty()) {
-    std::cerr << "replay bench: cannot find configs/" << info.scenario
-              << ".conf — pass --replay-config\n";
-    return 1;
-  }
-  const config::ScenarioSpec scenario =
-      config::ConfigLoader::LoadFile(config_path);
-
-  replay::ReplayOptions options;
-  options.speed = 0.0;  // unpaced: measure the runtime, not the recording
-  replay::ReplayReport first;
-  replay::ReplayReport second;
-  for (replay::ReplayReport* report : {&first, &second}) {
-    const serve::Result<replay::ReplayReport> replayed =
-        replay::ReplayTrace(scenario, domains, reader.value(), options);
-    if (!replayed.ok()) {
-      std::cerr << "replay bench: " << replayed.error().message << "\n";
-      return 1;
-    }
-    *report = replayed.value();
-  }
-  const bool deterministic = first.flags.digest == second.flags.digest;
-  const double eps = first.elapsed_seconds > 0.0
-                         ? static_cast<double>(first.offered) /
-                               first.elapsed_seconds
-                         : 0.0;
-  char digest[17];
-  std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(first.flags.digest));
-
-  std::cout << "replay bench: '" << info.scenario << "' (" << trace_path
-            << ") " << first.offered << " examples in " << first.elapsed_seconds
-            << "s = " << eps << " ex/s, " << first.flags.lines.size()
-            << " flags, digest " << digest
-            << (deterministic ? "" : " [NON-DETERMINISTIC]") << "\n";
-
-  std::ofstream out(json_path);
-  common::Check(out.good(), "cannot open json output: " + json_path);
-  out << "{\n"
-      << "  \"bench\": \"runtime_throughput\",\n"
-      << "  \"mode\": \"replay\",\n"
-      << "  \"trace\": \"" << trace_path << "\",\n"
-      << "  \"scenario\": \"" << info.scenario << "\",\n"
-      << "  \"records\": " << info.records << ",\n"
-      << "  \"examples\": " << info.examples << ",\n"
-      << "  \"offered\": " << first.offered << ",\n"
-      << "  \"scored\": " << first.scored << ",\n"
-      << "  \"shed\": " << first.shed << ",\n"
-      << "  \"dropped\": " << first.dropped << ",\n"
-      << "  \"errored\": " << first.errored << ",\n"
-      << "  \"accounted\": " << (first.accounted ? "true" : "false") << ",\n"
-      << "  \"seconds\": " << first.elapsed_seconds << ",\n"
-      << "  \"examples_per_sec\": " << eps << ",\n"
-      << "  \"flags\": " << first.flags.lines.size() << ",\n"
-      << "  \"flag_digest\": \"" << digest << "\",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false")
-      << "\n}\n";
-  std::cout << "wrote " << json_path << "\n";
-  if (!first.accounted || !deterministic) return 1;
-  return 0;
+  out << "    ]\n  }\n}\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto flags = common::Flags::Parse(argc, argv);
-  flags.CheckAllowed(
-      {"streams", "examples", "shards", "capacity", "batch",
-       "window", "settle", "seed", "json", "facade", "net",
-       "net-examples", "replay", "replay-config"});
-  if (const std::string replay_trace = flags.GetString("replay", "");
-      !replay_trace.empty() && replay_trace != "true") {
-    return RunReplayBench(replay_trace, flags.GetString("replay-config", ""),
-                          flags.GetString("json", "BENCH_runtime.json"));
-  }
-  const auto n_streams = static_cast<std::size_t>(flags.GetInt("streams", 8));
+  flags.CheckAllowed({"examples", "shards", "json"});
   const auto examples = static_cast<std::size_t>(flags.GetInt("examples", 20000));
   // `--shards` sweeps the backpressure-aware fast path
   // (ShardedMonitorService), e.g. `--shards 1,2,4,8`.
@@ -779,33 +548,18 @@ int main(int argc, char** argv) {
                     std::all_of(shard_counts.begin(), shard_counts.end(),
                                 [](std::int64_t s) { return s >= 1; }),
                 "--shards entries must be >= 1");
-  const auto batch_size = static_cast<std::size_t>(flags.GetInt("batch", 256));
-  const auto window = static_cast<std::size_t>(flags.GetInt("window", 128));
-  const auto settle_lag = static_cast<std::size_t>(flags.GetInt("settle", 16));
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const std::string json_path = flags.GetString("json", "BENCH_runtime.json");
-  // The suite's largest temporal radius is 8 ("drift"). Equivalence across
-  // per-example and batched configurations needs settled verdicts to be
-  // final (settle >= radius) and suffix re-scoring to keep its 2r context
-  // (window > 2 * radius).
-  constexpr std::size_t kMaxRadius = 8;
-  common::Check(settle_lag >= kMaxRadius,
-                "--settle must be >= 8, the largest assertion radius");
-  common::Check(window > 2 * kMaxRadius && settle_lag < window,
-                "--window must be > 16 (2x the largest radius) and > settle");
 
   std::vector<std::vector<Sample>> streams;
-  for (std::size_t s = 0; s < n_streams; ++s) {
-    streams.push_back(common::MakeBenchStream(seed + s, examples));
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    streams.push_back(common::MakeBenchStream(kSeed + s, examples));
   }
 
-  const RunResult baseline = RunBaseline(streams, window, settle_lag);
+  const RunResult baseline = RunBaseline(streams);
   std::vector<std::pair<std::size_t, ShardedRunResult>> shard_sweep;
   for (const std::int64_t s : shard_counts) {
-    shard_sweep.emplace_back(
-        static_cast<std::size_t>(s),
-        RunSharded(streams, static_cast<std::size_t>(s), batch_size, window,
-                   settle_lag));
+    shard_sweep.emplace_back(static_cast<std::size_t>(s),
+                             RunSharded(streams, static_cast<std::size_t>(s)));
     common::Check(baseline.events == shard_sweep.back().second.run.events,
                   "sharded fast path emitted a different event count");
   }
@@ -824,50 +578,38 @@ int main(int argc, char** argv) {
 
   // Facade-vs-templated: the same workload through serve::Monitor at the
   // reference shard count; the throughput delta is the erasure tax. Both
-  // sides run interleaved, median-of-5 (same noise reasoning: run-to-run
-  // scheduler variance on this box exceeds the effect being measured, and
-  // a median is robust where a best-of amplifies one side's lucky run).
-  const bool facade_enabled = flags.GetBool("facade", true);
+  // sides run interleaved, best-of-7: scheduler noise on a shared box only
+  // ever *slows* a run, so the fastest rep of each path is the noise-robust
+  // estimator for a throughput ratio — a median still carries whatever
+  // interference its middle rep happened to absorb.
   const std::size_t facade_shards = reference->first;
-  ShardedRunResult facade_templated;
-  ShardedRunResult facade_result;
-  double facade_overhead = 0.0;
-  if (facade_enabled) {
-    // Best-of-N, interleaved. Scheduler noise on a shared box only ever
-    // *slows* a run, so the fastest rep of each path is the noise-robust
-    // estimator for a throughput ratio — a median still carries whatever
-    // interference its middle rep happened to absorb.
-    constexpr int kReps = 7;
-    std::vector<ShardedRunResult> templated_runs;
-    std::vector<ShardedRunResult> facade_runs;
-    for (int rep = 0; rep < kReps; ++rep) {
-      templated_runs.push_back(RunSharded(streams, facade_shards,
-                                          batch_size, window, settle_lag));
-      common::Check(baseline.events == templated_runs.back().run.events,
-                    "templated rerun emitted a different event count");
-      facade_runs.push_back(RunFacade(streams, facade_shards, batch_size,
-                                      window, settle_lag));
-      common::Check(baseline.events == facade_runs.back().run.events,
-                    "facade emitted a different event count");
-    }
-    const auto fastest = [](std::vector<ShardedRunResult>& runs) {
-      std::sort(runs.begin(), runs.end(),
-                [](const ShardedRunResult& a, const ShardedRunResult& b) {
-                  return a.run.examples_per_sec > b.run.examples_per_sec;
-                });
-      return runs.front();
-    };
-    facade_templated = fastest(templated_runs);
-    facade_result = fastest(facade_runs);
-    facade_overhead = 1.0 - facade_result.run.examples_per_sec /
-                                facade_templated.run.examples_per_sec;
+  constexpr int kFacadeReps = 7;
+  std::vector<ShardedRunResult> templated_runs;
+  std::vector<ShardedRunResult> facade_runs;
+  for (int rep = 0; rep < kFacadeReps; ++rep) {
+    templated_runs.push_back(RunSharded(streams, facade_shards));
+    common::Check(baseline.events == templated_runs.back().run.events,
+                  "templated rerun emitted a different event count");
+    facade_runs.push_back(RunFacade(streams, facade_shards));
+    common::Check(baseline.events == facade_runs.back().run.events,
+                  "facade emitted a different event count");
   }
+  const auto fastest = [](std::vector<ShardedRunResult>& runs) {
+    std::sort(runs.begin(), runs.end(),
+              [](const ShardedRunResult& a, const ShardedRunResult& b) {
+                return a.run.examples_per_sec > b.run.examples_per_sec;
+              });
+    return runs.front();
+  };
+  const ShardedRunResult facade_templated = fastest(templated_runs);
+  const ShardedRunResult facade_result = fastest(facade_runs);
+  const double facade_overhead = 1.0 - facade_result.run.examples_per_sec /
+                                           facade_templated.run.examples_per_sec;
 
   // Tracing overhead at the reference shard count: no tracer vs a tracer
   // attached but disabled (must cost nothing beyond noise) vs tracing on at
   // 1/16 sampling (the recommended always-on setting — target <= 2%).
-  // Median-of-5 interleaved, same scheduler-noise reasoning as the facade
-  // comparison.
+  // Median-of-5, interleaved.
   TracingComparison tracing;
   tracing.shards = reference->first;
   tracing.sample_every = 16;
@@ -883,16 +625,13 @@ int main(int argc, char** argv) {
     };
     std::vector<double> base_eps, off_eps, on_eps;
     for (int rep = 0; rep < kReps; ++rep) {
-      base_eps.push_back(RunSharded(streams, tracing.shards, batch_size,
-                                    window, settle_lag)
-                             .run.examples_per_sec);
-      off_eps.push_back(RunSharded(streams, tracing.shards, batch_size,
-                                   window, settle_lag, make_tracer(false))
+      base_eps.push_back(
+          RunSharded(streams, tracing.shards).run.examples_per_sec);
+      off_eps.push_back(RunSharded(streams, tracing.shards, make_tracer(false))
                             .run.examples_per_sec);
       const auto on_tracer = make_tracer(true);
-      on_eps.push_back(RunSharded(streams, tracing.shards, batch_size,
-                                  window, settle_lag, on_tracer)
-                           .run.examples_per_sec);
+      on_eps.push_back(
+          RunSharded(streams, tracing.shards, on_tracer).run.examples_per_sec);
       const obs::TraceSnapshot snapshot = on_tracer->Drain();
       tracing.events_recorded = 0;
       for (const obs::LaneTrace& lane : snapshot.lanes) {
@@ -916,23 +655,20 @@ int main(int argc, char** argv) {
   // load paced at fractions of the unsaturated 2-shard (or closest) rate.
   const std::size_t saturation_shards = reference->first;
   const double reference_eps = reference->second.run.examples_per_sec;
-  // Default per-shard queue bound: two submission rounds' worth of the
-  // streams one shard owns, so a paced producer below the knee never sheds
-  // (submission arrives in per-round bursts, not smoothly).
-  const auto saturation_capacity = static_cast<std::size_t>(flags.GetInt(
-      "capacity", static_cast<std::int64_t>(std::max<std::size_t>(
-                      2 * batch_size *
-                          (n_streams + saturation_shards - 1) /
-                          saturation_shards,
-                      2048))));
+  // Per-shard queue bound: two submission rounds' worth of the streams one
+  // shard owns, so a paced producer below the knee never sheds (submission
+  // arrives in per-round bursts, not smoothly).
+  const std::size_t saturation_capacity = std::max<std::size_t>(
+      2 * kBatch * (kStreams + saturation_shards - 1) / saturation_shards,
+      2048);
   // Per-batch severity hints (anomaly-burst counts); the shed floor is
   // their 75th percentile, so ~a quarter of the offered batches count as
   // important and survive overload.
-  std::vector<std::vector<double>> hints(n_streams);
+  std::vector<std::vector<double>> hints(kStreams);
   std::vector<double> all_hints;
-  for (std::size_t s = 0; s < n_streams; ++s) {
-    for (std::size_t offset = 0; offset < examples; offset += batch_size) {
-      const std::size_t count = std::min(batch_size, examples - offset);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    for (std::size_t offset = 0; offset < examples; offset += kBatch) {
+      const std::size_t count = std::min(kBatch, examples - offset);
       hints[s].push_back(BatchHint(
           std::span<const Sample>(streams[s].data() + offset, count)));
       all_hints.push_back(hints[s].back());
@@ -945,27 +681,15 @@ int main(int argc, char** argv) {
   for (const double frac : {0.5, 1.0, 2.0, 4.0}) {
     saturation.push_back(RunSaturationPoint(
         streams, hints, shed_floor, frac, reference_eps, saturation_shards,
-        batch_size, window, settle_lag, saturation_capacity));
+        saturation_capacity));
   }
 
-  // Networked saturation: both transports, unpaced, 4 connections (two per
-  // exposed stream). `--net-examples` scales the per-connection volume.
-  const bool net_enabled = flags.GetBool("net", true);
-  const auto net_examples =
-      static_cast<std::size_t>(flags.GetInt("net-examples", 50000));
-  std::vector<NetPoint> net_points;
-  if (net_enabled) {
-    for (const bool uds : {true, false}) {
-      net_points.push_back(RunNetPoint(uds, /*connections=*/4, net_examples,
-                                       /*batch_size=*/256));
-    }
-  }
   common::Check(saturation.back().shed_examples > 0,
                 "saturation bench: overload must shed under "
                 "ShedBelowSeverity, not grow the queue");
-  std::cout << "=== runtime throughput (" << n_streams << " streams x "
-            << examples << " examples, window " << window << ", settle "
-            << settle_lag << ") ===\n\n";
+  std::cout << "=== runtime throughput (" << kStreams << " streams x "
+            << examples << " examples, window " << kWindow << ", settle "
+            << kSettleLag << ") ===\n\n";
   common::TextTable table({"Configuration", "Seconds", "Examples/sec",
                            "Events"});
   table.AddRow({"per-example monitor loop (baseline)",
@@ -1000,24 +724,22 @@ int main(int argc, char** argv) {
   }
   fast_table.Print(std::cout);
 
-  if (facade_enabled) {
-    std::cout << "\n=== type-erased facade vs templated ("
-              << facade_shards << " shards) ===\n\n";
-    common::TextTable facade_table(
-        {"Configuration", "Examples/sec", "p99 ms", "Overhead"});
-    facade_table.AddRow(
-        {"templated ShardedMonitorService",
-         common::FormatDouble(facade_templated.run.examples_per_sec, 0),
-         common::FormatDouble(facade_templated.p99_ms, 3), "-"});
-    facade_table.AddRow(
-        {"serve::Monitor (AnyExample dispatch)",
-         common::FormatDouble(facade_result.run.examples_per_sec, 0),
-         common::FormatDouble(facade_result.p99_ms, 3),
-         common::FormatDouble(facade_overhead * 100.0, 1) + "%"});
-    facade_table.Print(std::cout);
-    if (facade_overhead > 0.10) {
-      std::cout << "WARNING: facade overhead above the 10% target\n";
-    }
+  std::cout << "\n=== type-erased facade vs templated (" << facade_shards
+            << " shards) ===\n\n";
+  common::TextTable facade_table(
+      {"Configuration", "Examples/sec", "p99 ms", "Overhead"});
+  facade_table.AddRow(
+      {"templated ShardedMonitorService",
+       common::FormatDouble(facade_templated.run.examples_per_sec, 0),
+       common::FormatDouble(facade_templated.p99_ms, 3), "-"});
+  facade_table.AddRow(
+      {"serve::Monitor (AnyExample dispatch)",
+       common::FormatDouble(facade_result.run.examples_per_sec, 0),
+       common::FormatDouble(facade_result.p99_ms, 3),
+       common::FormatDouble(facade_overhead * 100.0, 1) + "%"});
+  facade_table.Print(std::cout);
+  if (facade_overhead > 0.10) {
+    std::cout << "WARNING: facade overhead above the 10% target\n";
   }
 
   std::cout << "\n=== tracing overhead (" << tracing.shards
@@ -1057,28 +779,10 @@ int main(int argc, char** argv) {
   }
   sat_table.Print(std::cout);
 
-  if (net_enabled) {
-    std::cout << "\n=== networked ingestion (video+ecg monitor behind "
-                 "net::IngestServer, 4 connections, unpaced) ===\n\n";
-    common::TextTable net_table({"Transport", "Offered", "Examples/sec",
-                                 "Wire MB", "Scored", "Shed",
-                                 "Reconciled"});
-    for (const NetPoint& p : net_points) {
-      net_table.AddRow(
-          {p.transport, std::to_string(p.offered),
-           common::FormatDouble(p.examples_per_sec, 0),
-           common::FormatDouble(static_cast<double>(p.wire_bytes) / 1e6, 1),
-           std::to_string(p.scored), std::to_string(p.shed),
-           p.reconciled ? "yes" : "NO"});
-    }
-    net_table.Print(std::cout);
-  }
-
-  WriteJson(json_path, n_streams, examples, window, settle_lag, batch_size,
-            baseline, shard_sweep, facade_enabled ? &facade_result : nullptr,
+  WriteJson(json_path, examples, baseline, shard_sweep, facade_result,
             facade_shards, facade_templated.run.examples_per_sec,
             facade_overhead, tracing, saturation_shards, saturation_capacity,
-            shed_floor, saturation, net_points);
+            shed_floor, saturation);
   std::cout << "\nwrote " << json_path << "\n";
   return 0;
 }

@@ -19,7 +19,6 @@
 //
 // Build & run:
 //   ./examples/scenario_harness ../configs/*.conf     # explicit files
-//   ./examples/scenario_harness --configs ../configs  # every *.conf in DIR
 //   ./examples/scenario_harness --describe            # registered domains
 //   ./examples/scenario_harness --trace DIR           # Chrome traces to DIR
 //   ./examples/scenario_harness --export-metrics DIR  # jsonl+prom to DIR
@@ -837,8 +836,8 @@ void Describe(const serve::DomainRegistry& domains) {
 
 int main(int argc, char** argv) {
   const auto flags = common::Flags::Parse(argc, argv);
-  flags.CheckAllowed({"configs", "describe", "trace", "export-metrics",
-                      "serve", "record", "replay", "speed", "flags-out",
+  flags.CheckAllowed({"describe", "trace", "export-metrics", "serve",
+                      "record", "replay", "speed", "flags-out",
                       "replay-transport", "soak-seconds"});
 
   const serve::DomainRegistry domains = serve::MakeDefaultDomainRegistry();
@@ -876,21 +875,6 @@ int main(int argc, char** argv) {
   const std::string serve_value = flags.GetString("serve", "");
   const bool serve = !serve_value.empty();
   if (serve && serve_value != "true") paths.push_back(serve_value);
-  if (const std::string dir = flags.GetString("configs", "");
-      !dir.empty()) {
-    std::error_code list_error;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(dir, list_error)) {
-      if (entry.path().extension() == ".conf") {
-        paths.push_back(entry.path().string());
-      }
-    }
-    if (list_error) {
-      std::cerr << "--configs " << dir << ": " << list_error.message()
-                << "\n";
-      return 1;
-    }
-  }
   if (paths.empty()) {
     // Default: the repo's shipped scenarios, found from either the repo
     // root or a build/ subdirectory.
@@ -907,8 +891,8 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) {
-    std::cerr << "no scenario files: pass paths, --configs DIR, or run "
-                 "next to the repo's configs/ directory\n";
+    std::cerr << "no scenario files: pass paths, or run next to the "
+                 "repo's configs/ directory\n";
     return 1;
   }
   std::sort(paths.begin(), paths.end());

@@ -13,14 +13,13 @@
 //
 // ImprovementLoop owns everything to the right of the monitor: Subscribe
 // sink() to the serve::Monitor, serve traffic scored with
-// registry().Current(), and run rounds (manually or on a timer). Selected
+// registry().Current(), and run a round between waves of traffic. Selected
 // candidates are labeled by the oracle (human ground truth, consistency
 // weak labels, or both), fine-tuned into a new model version on a
 // background thread, and picked up by serving between batches — ingestion
 // never pauses.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -72,7 +71,7 @@ class ImprovementLoop {
   ModelRegistry& registry() { return *registry_; }
   /// The live candidate pool the collector fills.
   FlagStore& store() { return *store_; }
-  /// The round driver (manual RunRound or timer Start/Stop).
+  /// The round driver.
   RoundScheduler& scheduler() { return *scheduler_; }
   /// The background fine-tuner publishing new versions.
   RetrainWorker& retrainer() { return *retrain_; }
@@ -80,21 +79,14 @@ class ImprovementLoop {
   /// One synchronous select -> label -> submit-for-retrain round.
   std::optional<RoundStats> RunRound() { return scheduler_->RunRound(); }
 
-  /// Timer-driven rounds (Stop is implied by destruction).
-  void Start(std::chrono::milliseconds interval) {
-    scheduler_->Start(interval);
-  }
-  void Stop() { scheduler_->Stop(); }
-
   /// Blocks until every labeled batch has been trained and published.
   void WaitForRetrains() { retrain_->WaitIdle(); }
 
   std::vector<RoundStats> History() const { return scheduler_->History(); }
 
  private:
-  // Destruction order matters (reverse of declaration): the scheduler stops
-  // before the retrain worker it points at, which drains before the
-  // registry/store die.
+  // Destruction order matters (reverse of declaration): the retrain worker
+  // drains before the registry/store die.
   std::shared_ptr<ModelRegistry> registry_;
   std::shared_ptr<FlagStore> store_;
   std::shared_ptr<FlagCollectorSink> sink_;

@@ -30,8 +30,8 @@ struct LabelBatch {
 
 /// Turns selected candidates into labeled training data.
 ///
-/// Implementations may be called from the scheduler's timer thread; they
-/// must not assume the caller's thread identity but are never called
+/// Implementations run on whichever thread calls RoundScheduler::RunRound;
+/// they must not assume the caller's thread identity but are never called
 /// concurrently with themselves (rounds are serialised).
 class LabelOracle {
  public:

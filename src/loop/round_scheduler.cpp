@@ -29,8 +29,6 @@ RoundScheduler::RoundScheduler(RoundConfig config,
   Check(oracle_ != nullptr, "scheduler needs a label oracle");
 }
 
-RoundScheduler::~RoundScheduler() { Stop(); }
-
 std::optional<RoundStats> RoundScheduler::RunRound() {
   MutexLock round_lock(round_mutex_);
 
@@ -103,53 +101,9 @@ std::optional<RoundStats> RoundScheduler::RunRound() {
   return stats;
 }
 
-void RoundScheduler::Start(std::chrono::milliseconds interval) {
-  Check(interval.count() > 0, "round interval must be positive");
-  Check(!timer_.joinable(), "scheduler timer already running");
-  {
-    MutexLock lock(timer_mutex_);
-    timer_stop_ = false;
-  }
-  timer_ = std::thread([this, interval] {
-    MutexLock lock(timer_mutex_);
-    for (;;) {
-      // Bounded wait: Stop() notifies under the mutex, so a stop is seen
-      // either here or on the re-check. A spurious wake before the
-      // deadline restarts the interval, which only jitters the timer.
-      const std::cv_status status = timer_cv_.WaitFor(timer_mutex_, interval);
-      if (timer_stop_) return;
-      if (status == std::cv_status::no_timeout) continue;  // spurious wake
-      lock.Unlock();
-      // A throwing oracle/strategy/confidence-fn must not escape the
-      // thread (std::terminate); record it and keep the loop alive.
-      try {
-        RunRound();
-      } catch (const std::exception& error) {
-        MutexLock history_lock(history_mutex_);
-        errors_.push_back(error.what());
-      }
-      lock.Lock();
-    }
-  });
-}
-
-void RoundScheduler::Stop() {
-  {
-    MutexLock lock(timer_mutex_);
-    timer_stop_ = true;
-  }
-  timer_cv_.NotifyAll();
-  if (timer_.joinable()) timer_.join();
-}
-
 std::vector<RoundStats> RoundScheduler::History() const {
   MutexLock lock(history_mutex_);
   return history_;
-}
-
-std::vector<std::string> RoundScheduler::Errors() const {
-  MutexLock lock(history_mutex_);
-  return errors_;
 }
 
 }  // namespace omg::loop

@@ -6,19 +6,16 @@
 // SelectionStrategy over it (BAL with fallback, uncertainty, random — the
 // strategies are reused unchanged), dispatches the selections to a
 // LabelOracle, drops the labeled candidates from the store, and hands the
-// labeled rows to the RetrainWorker. Rounds run on demand (RunRound) or on a
-// timer thread (Start/Stop).
+// labeled rows to the RetrainWorker. The caller runs each round (RunRound),
+// as Algorithm 2 runs discrete rounds between waves of traffic.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bandit/strategy.hpp"
@@ -69,28 +66,17 @@ class RoundScheduler {
                  std::shared_ptr<LabelOracle> oracle, RetrainWorker* retrain,
                  std::uint64_t seed, ConfidenceFn confidences = {});
 
-  ~RoundScheduler();
-
   RoundScheduler(const RoundScheduler&) = delete;
   RoundScheduler& operator=(const RoundScheduler&) = delete;
 
   /// Runs one round synchronously. Returns nullopt when the store held
   /// fewer than `min_candidates` candidates (the round is not counted).
-  /// Thread-safe; concurrent calls (timer + manual) serialise.
+  /// Thread-safe; concurrent calls serialise. A throwing oracle, strategy
+  /// or confidence provider throws out of RunRound to its caller.
   std::optional<RoundStats> RunRound();
-
-  /// Starts a timer thread running a round every `interval`.
-  void Start(std::chrono::milliseconds interval);
-
-  /// Stops the timer thread (idempotent; the destructor also stops it).
-  void Stop();
 
   /// Completed rounds, in order.
   std::vector<RoundStats> History() const;
-
-  /// Messages from timer-thread rounds that threw (a throwing oracle or
-  /// strategy poisons its round, not the process).
-  std::vector<std::string> Errors() const;
 
   /// The strategy rounds run (exposed for per-round inspection in benches).
   bandit::SelectionStrategy& strategy() { return *strategy_; }
@@ -111,12 +97,6 @@ class RoundScheduler {
 
   mutable Mutex history_mutex_;
   std::vector<RoundStats> history_ OMG_GUARDED_BY(history_mutex_);
-  std::vector<std::string> errors_ OMG_GUARDED_BY(history_mutex_);
-
-  Mutex timer_mutex_;
-  CondVar timer_cv_;
-  bool timer_stop_ OMG_GUARDED_BY(timer_mutex_) = false;
-  std::thread timer_;
 };
 
 }  // namespace omg::loop

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "serve/spill_pool.hpp"
 
 namespace omg::serve {
 
@@ -218,25 +217,14 @@ class AnyExample {
         alignof(T) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<T>;
 
-    /// Heap-spilled payloads recycle SpillPool blocks; over-aligned types
-    /// bypass the pool (its blocks are only max_align_t-aligned).
-    static constexpr bool kPooled =
-        !kInline && alignof(T) <= alignof(std::max_align_t);
-
+    /// Heap-spilled payloads get a block aligned for T, whatever its
+    /// alignment.
     static void* AllocateSpill() {
-      if constexpr (kPooled) {
-        return SpillPool::Allocate(sizeof(T));
-      } else {
-        return ::operator new(sizeof(T), std::align_val_t(alignof(T)));
-      }
+      return ::operator new(sizeof(T), std::align_val_t(alignof(T)));
     }
 
     static void ReleaseSpill(void* block) noexcept {
-      if constexpr (kPooled) {
-        SpillPool::Release(block, sizeof(T));
-      } else {
-        ::operator delete(block, std::align_val_t(alignof(T)));
-      }
+      ::operator delete(block, std::align_val_t(alignof(T)));
     }
 
     static void Destroy(AnyExample& self) noexcept {

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <memory>
 #include <thread>
@@ -513,34 +512,6 @@ TEST(ImprovementLoop, ReducesFlaggedRateAcrossLiveBalRounds) {
   // wedge errors get labeled and trained away.
   EXPECT_GT(flagged_rate.front(), 0.1);  // corruption visibly fires
   EXPECT_LT(flagged_rate.back(), 0.5 * flagged_rate.front());
-}
-
-TEST(ImprovementLoop, TimerDrivenRoundsRun) {
-  ImprovementLoopConfig config;
-  config.assertion_names = {"a"};
-  config.round.budget = 1;
-  std::atomic<std::size_t> labeled{0};
-  auto oracle =
-      std::make_shared<GroundTruthOracle>([&](const CandidateKey&) {
-        ++labeled;
-        nn::Dataset data;
-        data.Add({0.0, 0.0}, 0);
-        return data;
-      });
-  ImprovementLoop loop(config, std::make_unique<bandit::RandomStrategy>(),
-                       oracle, MakeModel(1));
-  loop.store().Record({0, 0}, 0, 1.0);
-  loop.Start(std::chrono::milliseconds(2));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (labeled.load() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  loop.Stop();
-  loop.WaitForRetrains();
-  EXPECT_GE(labeled.load(), 1u);
-  EXPECT_GE(loop.registry().version(), 2u);
 }
 
 }  // namespace

@@ -855,5 +855,46 @@ TEST(Server, PerTenantNamedMetricsReachTheRegistry) {
   EXPECT_EQ(snapshot.named.at("tenant/acme/admitted"), 8u);
 }
 
+TEST(LoadClient, FourConnectionsReconcileOverUdsAndTcp) {
+  const serve::DomainRegistry domains = serve::MakeDefaultDomainRegistry();
+  for (const bool uds : {true, false}) {
+    SCOPED_TRACE(uds ? "uds" : "tcp");
+    config::ScenarioMonitor hosted = MakeHosted(domains);
+    IngestServerOptions options;
+    if (uds) {
+      options.uds_path = TestSocketPath("load");
+    } else {
+      options.tcp = true;  // ephemeral loopback port
+    }
+    IngestServer server(options, *hosted.monitor, domains);
+    for (const config::BoundStream& stream : hosted.streams) {
+      server.ExposeStream(stream.handle);
+    }
+    const serve::Result<ServerEndpoints> endpoints = server.Start();
+    ASSERT_TRUE(endpoints.ok());
+
+    LoadClientOptions load;
+    if (uds) {
+      load.uds_path = endpoints.value().uds_path;
+    } else {
+      load.tcp_port = endpoints.value().tcp_port;
+    }
+    // Two connections per stream, each sending 15 whole 64-example frames.
+    load.streams = {{"bench", "", "cam", "video", 0.0},
+                    {"bench", "", "ward", "ecg", 0.0}};
+    load.connections = 4;
+    load.batch = 64;
+    load.examples_per_connection = 1000;
+    const serve::Result<LoadReport> report = RunLoadClient(load, domains);
+    server.Stop();
+
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.value().connection_errors, 0u);
+    EXPECT_TRUE(report.value().reconciled);
+    EXPECT_EQ(report.value().offered, 3840u);
+    EXPECT_EQ(report.value().scored, 3840u);
+  }
+}
+
 }  // namespace
 }  // namespace omg::net

@@ -24,8 +24,8 @@ namespace omg {
 namespace {
 
 // ------------------------------------------------------------------------
-// A payload larger than AnyExample::kInlineCapacity, forcing the
-// SpillPool heap path on every wrap / clone / relocate.
+// A payload larger than AnyExample::kInlineCapacity, forcing the heap
+// spill path on every wrap / clone / relocate.
 struct BigExample {
   std::array<double, 64> samples{};  // 512 bytes, well past the SBO
   std::string label;
@@ -69,7 +69,7 @@ TEST(SanitizerRegressions, AnyExampleHeapSpillSurvivesCloneAndMoveCycles) {
 
   // Clone through the vtable, then mutate the copy: storage is disjoint.
   AnyExample b(a);
-  b.TryGetMutable<BigExample>()->label = "b";
+  b.TryGetMutable<BigExample>()->label = std::string("b");
   EXPECT_EQ(a.Get<BigExample>().label, "a");
   EXPECT_EQ(b.Get<BigExample>().label, "b");
 

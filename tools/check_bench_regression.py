@@ -8,9 +8,10 @@ Three checks, each with an explicit failure message so CI output says
                   type-erased AnyExample facade over the same workload)
                   must stay at or below --max-facade-overhead
                   (default 0.02). The batch-level typed-scorer dispatch
-                  and pooled spill allocation are what keep this small;
-                  a regression here means per-example virtual dispatch
-                  or allocator churn crept back into the hot path.
+                  and inline (allocation-free) payload storage are what
+                  keep this small; a regression here means per-example
+                  virtual dispatch or allocator churn crept back into
+                  the hot path.
 
   shard scaling   shard_sweep examples_per_sec must be monotone
                   non-decreasing in shard count within a noise band:
