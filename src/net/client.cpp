@@ -3,9 +3,11 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,6 +27,11 @@ serve::Error Errno(const std::string& what) {
   return serve::Error{serve::ErrorCode::kInvalidArgument,
                       what + ": " + std::strerror(errno)};
 }
+
+/// The largest payload a server reply can carry: an ERROR's u16 code and
+/// a u32-prefixed message of at most WireReader::kMaxStringBytes. ACKs
+/// carry a u32 count and a handful of u64 values.
+constexpr std::size_t kMaxReplyBytes = 2 + 4 + WireReader::kMaxStringBytes;
 
 }  // namespace
 
@@ -96,23 +103,45 @@ serve::Result<ClientConnection> ClientConnection::ConnectTcp(
   return ClientConnection(fd);
 }
 
-serve::Result<bool> ClientConnection::WriteAll(
-    std::span<const std::uint8_t> bytes) {
+serve::Result<bool> ClientConnection::WriteFrame(
+    FrameHeader header, std::span<const std::uint8_t> payload) {
   if (fd_ < 0) {
     return serve::Error{serve::ErrorCode::kInvalidArgument,
                         "connection is closed"};
   }
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
+  header.payload_length = static_cast<std::uint32_t>(payload.size());
+  header.payload_crc32 = Crc32(payload);
+  const std::array<std::uint8_t, FrameHeader::kBytes> head =
+      EncodeHeader(header);
+  // Header and payload go out in one sendmsg; after a partial write the
+  // iovecs are advanced past what was sent and the rest is resent.
+  iovec parts[2] = {
+      {const_cast<std::uint8_t*>(head.data()), head.size()},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  std::size_t first = 0;  // first part with bytes left
+  std::size_t left = head.size() + payload.size();
+  while (left > 0) {
+    msghdr message{};
+    message.msg_iov = parts + first;
+    message.msg_iovlen = 2 - first;
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Errno("send");
+      return Errno("sendmsg");
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    left -= sent;
+    while (sent > 0 && sent >= parts[first].iov_len) {
+      sent -= parts[first].iov_len;
+      ++first;
+    }
+    if (sent > 0) {
+      parts[first].iov_base =
+          static_cast<std::uint8_t*>(parts[first].iov_base) + sent;
+      parts[first].iov_len -= sent;
+    }
   }
-  bytes_sent_ += bytes.size();
+  bytes_sent_ += head.size() + payload.size();
   return true;
 }
 
@@ -140,6 +169,15 @@ serve::Result<Frame> ClientConnection::ReadReply() {
   serve::Result<FrameHeader> header =
       DecodeHeader({header_bytes, sizeof(header_bytes)});
   if (!header.ok()) return header.error();
+  // The length is the peer's claim: refuse one no reply can have before
+  // allocating for it.
+  if (header.value().payload_length > kMaxReplyBytes) {
+    return serve::Error{serve::ErrorCode::kOversizedFrame,
+                        "reply claims " +
+                            std::to_string(header.value().payload_length) +
+                            " payload bytes; the largest reply has " +
+                            std::to_string(kMaxReplyBytes)};
+  }
   Frame frame;
   frame.header = header.value();
   frame.payload.resize(frame.header.payload_length);
@@ -160,8 +198,7 @@ serve::Result<std::vector<std::uint64_t>> ClientConnection::Roundtrip(
   header.type = type;
   header.seq = next_seq_++;
   header.session = session_;
-  const serve::Result<bool> sent =
-      WriteAll(EncodeFrame(header, payload));
+  const serve::Result<bool> sent = WriteFrame(header, payload);
   if (!sent.ok()) return sent.error();
   serve::Result<Frame> reply = ReadReply();
   if (!reply.ok()) return reply.error();
@@ -241,7 +278,7 @@ serve::Result<bool> ClientConnection::SendEncoded(
   header.set_domain_tag(domain);
   header.count = count;
   header.set_hint(hint);
-  return WriteAll(EncodeFrame(header, payload));
+  return WriteFrame(header, payload);
 }
 
 serve::Result<bool> ClientConnection::SendBatch(

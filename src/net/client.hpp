@@ -97,8 +97,12 @@ class ClientConnection {
  private:
   explicit ClientConnection(int fd) : fd_(fd) {}
 
-  serve::Result<bool> WriteAll(std::span<const std::uint8_t> bytes);
-  /// Reads one whole reply frame (blocking).
+  /// Sends `header` (payload length and CRC filled in) and `payload` as one
+  /// frame, blocking until every byte is written.
+  serve::Result<bool> WriteFrame(FrameHeader header,
+                                 std::span<const std::uint8_t> payload);
+  /// Reads one whole reply frame (blocking). A claimed payload longer than
+  /// any reply is kOversizedFrame, refused before allocating.
   serve::Result<Frame> ReadReply();
   /// Sends a control frame and decodes the matching ACK's values (an ERROR
   /// reply becomes its typed error).

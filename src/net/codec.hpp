@@ -13,8 +13,12 @@
 // are a typed kMalformedPayload, a foreign domain tag kUnknownDomain.
 //
 // Decoded examples are constructed straight into AnyExample holders
-// (Emplace), so a received batch goes WireReader -> AnyExample vector ->
-// Monitor::ObserveBatch with no intermediate typed copies.
+// (Emplace, then decoded in place), so a received batch goes payload view ->
+// AnyExample vector -> Monitor::ObserveBatch with no intermediate typed
+// copy. The payload a server decodes is a view into its connection's
+// FrameAssembler buffer, valid until the next Feed (net/wire.hpp); the one
+// byte copy on the receive path is Feed's, from the recv buffer into that
+// assembler buffer.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +51,7 @@ struct PayloadCodec {
   /// senders validate domains before encoding).
   std::function<void(const serve::AnyExample&, WireWriter&)> encode;
   /// Decodes one example from `in`, appending it to `out`. Returns false
-  /// on malformed bytes, leaving `out`'s earlier entries intact.
+  /// on malformed bytes, leaving `out` as it was.
   std::function<bool(WireReader&, std::vector<serve::AnyExample>&)> decode;
 };
 
@@ -57,6 +61,8 @@ std::vector<std::uint8_t> EncodeBatch(
 
 /// Decodes a DATA payload of exactly `count` examples. Typed errors:
 /// kMalformedPayload (bad bytes, trailing garbage, or an absurd count).
+/// Reserves at most one holder per payload byte before decoding, so a
+/// frame claiming more examples than it has bytes cannot inflate it.
 serve::Result<std::vector<serve::AnyExample>> DecodeBatch(
     const PayloadCodec& codec, std::span<const std::uint8_t> payload,
     std::uint32_t count);

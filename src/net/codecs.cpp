@@ -5,6 +5,7 @@
 // before allocation so a corrupted prefix cannot balloon the decoder.
 #include "net/codec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "av/factory.hpp"
@@ -175,8 +176,8 @@ bool DecodeNews(WireReader& in, tvnews::NewsFrame& frame) {
 }
 
 /// Builds a PayloadCodec over one domain's typed encode/decode pair. The
-/// decoder constructs the payload in place inside a fresh AnyExample — the
-/// no-intermediate-copies path ObserveBatch consumes directly.
+/// decoder fills a payload constructed in place inside the appended
+/// AnyExample — the batch ObserveBatch consumes, with no typed copy.
 template <typename T>
 PayloadCodec MakeCodec(void (*encode)(const T&, WireWriter&),
                        bool (*decode)(WireReader&, T&)) {
@@ -188,9 +189,12 @@ PayloadCodec MakeCodec(void (*encode)(const T&, WireWriter&),
   };
   codec.decode = [decode](WireReader& in,
                           std::vector<serve::AnyExample>& out) {
-    T payload;
-    if (!decode(in, payload)) return false;
-    out.emplace_back().Emplace<T>(std::move(payload));
+    serve::AnyExample& holder = out.emplace_back();
+    holder.Emplace<T>();
+    if (!decode(in, *holder.TryGetMutable<T>())) {
+      out.pop_back();
+      return false;
+    }
     return true;
   };
   return codec;
@@ -218,7 +222,10 @@ serve::Result<std::vector<serve::AnyExample>> DecodeBatch(
   }
   WireReader reader(payload);
   std::vector<serve::AnyExample> batch;
-  batch.reserve(count);
+  // Every shipped codec encodes at least 13 bytes per example, so no valid
+  // payload carries more examples than bytes; reserving a larger claimed
+  // count would let a short frame allocate a holder per claimed example.
+  batch.reserve(std::min<std::size_t>(count, payload.size()));
   for (std::uint32_t i = 0; i < count; ++i) {
     if (!codec.decode(reader, batch)) {
       return serve::Error{serve::ErrorCode::kMalformedPayload,

@@ -9,8 +9,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -31,6 +33,11 @@ serve::Error Errno(serve::ErrorCode code, const std::string& what) {
 constexpr std::uint64_t kTransportTcp = 0;
 constexpr std::uint64_t kTransportUds = 1;
 
+/// The <outcome> of "tenant/<name>/<outcome>" metric keys, in WireOutcome
+/// order.
+constexpr const char* kOutcomeNames[] = {"offered", "admitted", "shed",
+                                         "quota_rejected", "decode_errors"};
+
 }  // namespace
 
 // ------------------------------------------------------------- internals ---
@@ -38,7 +45,21 @@ constexpr std::uint64_t kTransportUds = 1;
 /// Shared across every connection of one tenant: the token bucket is one
 /// budget however many connections the tenant spreads its load over.
 struct IngestServer::TenantState {
+  static_assert(std::size(kOutcomeNames) ==
+                    static_cast<std::size_t>(WireOutcome::kDecodeError) + 1,
+                "one metric key per WireOutcome");
+
+  explicit TenantState(TenantOptions options_in)
+      : options(std::move(options_in)) {
+    for (std::size_t i = 0; i < metric_keys.size(); ++i) {
+      metric_keys[i] = "tenant/" + options.name + "/" + kOutcomeNames[i];
+    }
+  }
+
   TenantOptions options;
+  /// The "tenant/<name>/<outcome>" named-metric keys, indexed by
+  /// WireOutcome and built once, so accounting a frame builds no string.
+  std::array<std::string, std::size(kOutcomeNames)> metric_keys;
   Mutex mutex;
   double tokens OMG_GUARDED_BY(mutex) = 0.0;
   std::uint64_t last_refill_ns OMG_GUARDED_BY(mutex) = 0;
@@ -92,11 +113,18 @@ struct IngestServer::Connection {
   bool uds;
   FrameAssembler assembler;
 
+  /// One BIND: the stream and its domain's codec (null when the domain
+  /// has none), resolved once so DATA frames look neither up by name.
+  struct Binding {
+    const ExposedStream* stream;
+    const PayloadCodec* codec;
+  };
+
   bool authenticated = false;
   std::uint64_t session = 0;
   TenantState* tenant = nullptr;
-  std::map<std::uint64_t, const ExposedStream*> bindings;
-  std::uint64_t next_binding = 1;
+  /// Binding id i + 1 is bindings[i]; ids are handed out in BIND order.
+  std::vector<Binding> bindings;
 
   std::vector<std::uint8_t> outbound;
   std::size_t outbound_sent = 0;
@@ -140,8 +168,7 @@ IngestServer::IngestServer(IngestServerOptions options,
     if (!tenant.has_shed_floor) {
       tenant.shed_floor = std::numeric_limits<double>::infinity();
     }
-    auto state = std::make_unique<TenantState>();
-    state->options = tenant;
+    auto state = std::make_unique<TenantState>(tenant);
     const bool inserted =
         tenants_.emplace(tenant.name, std::move(state)).second;
     common::Check(inserted, "duplicate tenant '" + tenant.name + "'");
@@ -487,7 +514,7 @@ bool IngestServer::HandleReadable(Handler& handler, Connection& conn) {
       if (step.frame) {
         frames_.fetch_add(1, std::memory_order_relaxed);
         ++conn.frames;
-        if (!ProcessFrame(handler, conn, std::move(*step.frame))) {
+        if (!ProcessFrame(handler, conn, *step.frame)) {
           return false;
         }
         continue;
@@ -515,7 +542,7 @@ bool IngestServer::HandleReadable(Handler& handler, Connection& conn) {
 // ----------------------------------------------------------------- frames ---
 
 bool IngestServer::ProcessFrame(Handler& handler, Connection& conn,
-                                Frame frame) {
+                                const FrameView& frame) {
   switch (frame.header.type) {
     case FrameType::kHello:
       return OnHello(handler, conn, frame);
@@ -575,7 +602,7 @@ bool IngestServer::ProcessFrame(Handler& handler, Connection& conn,
 }
 
 bool IngestServer::OnHello(Handler& handler, Connection& conn,
-                           const Frame& frame) {
+                           const FrameView& frame) {
   const std::uint64_t seq = frame.header.seq;
   const auto fail = [&](serve::ErrorCode code, std::string message) {
     const serve::Error error{code, std::move(message)};
@@ -611,7 +638,7 @@ bool IngestServer::OnHello(Handler& handler, Connection& conn,
 }
 
 bool IngestServer::OnBindStream(Handler& handler, Connection& conn,
-                                const Frame& frame) {
+                                const FrameView& frame) {
   const std::uint64_t seq = frame.header.seq;
   const auto fail = [&](serve::ErrorCode code, std::string message) {
     const serve::Error error{code, std::move(message)};
@@ -642,31 +669,31 @@ bool IngestServer::OnBindStream(Handler& handler, Connection& conn,
                     std::string(it->second.handle.domain()) + "', not '" +
                     domain + "'");
   }
-  const std::uint64_t binding = conn.next_binding++;
-  conn.bindings.emplace(binding, &it->second);
-  const std::uint64_t values[1] = {binding};
+  conn.bindings.push_back({&it->second, domains_.CodecFor(domain)});
+  const std::uint64_t values[1] = {
+      static_cast<std::uint64_t>(conn.bindings.size())};
   return SendFrame(handler, conn, FrameType::kAck, seq, values, nullptr);
 }
 
-void IngestServer::OnData(Connection& conn, const Frame& frame) {
+void IngestServer::OnData(Connection& conn, const FrameView& frame) {
   const std::uint64_t count = frame.header.count;
   Account(conn, WireOutcome::kOffered, count);
   if (!conn.authenticated) {
     AccountReject(conn, count, serve::ErrorCode::kNotAuthenticated);
     return;
   }
-  const auto it = conn.bindings.find(frame.header.stream);
-  if (it == conn.bindings.end()) {
+  const std::uint64_t id = frame.header.stream;
+  if (id == 0 || id > conn.bindings.size()) {
     AccountReject(conn, count, serve::ErrorCode::kUnknownStream);
     return;
   }
-  const ExposedStream& exposed = *it->second;
-  const std::string_view domain = frame.header.domain_tag();
-  if (exposed.handle.domain() != domain) {
+  const Connection::Binding& binding = conn.bindings[id - 1];
+  const ExposedStream& exposed = *binding.stream;
+  if (exposed.handle.domain() != frame.header.domain_tag()) {
     AccountReject(conn, count, serve::ErrorCode::kUnknownDomain);
     return;
   }
-  const PayloadCodec* codec = domains_.CodecFor(std::string(domain));
+  const PayloadCodec* codec = binding.codec;
   if (codec == nullptr) {
     AccountReject(conn, count, serve::ErrorCode::kUnknownDomain);
     return;
@@ -782,32 +809,26 @@ void IngestServer::CloseConnection(Handler& handler, Connection& conn) {
 void IngestServer::Account(Connection& conn, WireOutcome outcome,
                            std::uint64_t examples) {
   if (examples == 0 && outcome != WireOutcome::kOffered) return;
-  const char* name = nullptr;
   std::uint64_t TenantStats::*slot = nullptr;
   std::atomic<std::uint64_t>* global = nullptr;
   switch (outcome) {
     case WireOutcome::kOffered:
-      name = "offered";
       slot = &TenantStats::offered;
       global = &offered_;
       break;
     case WireOutcome::kAdmitted:
-      name = "admitted";
       slot = &TenantStats::admitted;
       global = &admitted_;
       break;
     case WireOutcome::kShed:
-      name = "shed";
       slot = &TenantStats::shed;
       global = &shed_;
       break;
     case WireOutcome::kQuotaRejected:
-      name = "quota_rejected";
       slot = &TenantStats::quota_rejected;
       global = &quota_rejected_;
       break;
     case WireOutcome::kDecodeError:
-      name = "decode_errors";
       slot = &TenantStats::decode_errors;
       global = &decode_errors_;
       break;
@@ -819,7 +840,7 @@ void IngestServer::Account(Connection& conn, WireOutcome outcome,
     conn.tenant->stats.*slot += examples;
   }
   monitor_.RecordNamedMetric(
-      "tenant/" + conn.tenant->options.name + "/" + name, examples);
+      conn.tenant->metric_keys[static_cast<std::size_t>(outcome)], examples);
 }
 
 void IngestServer::AccountReject(Connection& conn, std::uint64_t examples,
@@ -840,9 +861,10 @@ IngestServer::TenantState* IngestServer::ResolveTenant(
   if (it != tenants_.end()) return it->second.get();
   if (!options_.tenants.empty()) return nullptr;  // closed roster
   // Open server: admit any well-formed tenant on first HELLO, unlimited.
-  auto state = std::make_unique<TenantState>();
-  state->options.name = name;
-  state->options.shed_floor = std::numeric_limits<double>::infinity();
+  TenantOptions options;
+  options.name = name;
+  options.shed_floor = std::numeric_limits<double>::infinity();
+  auto state = std::make_unique<TenantState>(std::move(options));
   TenantState* raw = state.get();
   tenants_.emplace(name, std::move(state));
   return raw;

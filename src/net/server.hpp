@@ -3,8 +3,13 @@
 // One IngestServer turns a serve::Monitor into a network service: frames
 // arrive over TCP (loopback) and/or a Unix-domain socket, are reassembled
 // per connection (net::FrameAssembler), decoded through the domain
-// registry's payload codecs, and handed straight to Monitor::ObserveBatch —
-// decoded examples are constructed in place, never copied between buffers.
+// registry's payload codecs, and handed straight to Monitor::ObserveBatch.
+// Received bytes are copied once, from the stack recv buffer into the
+// connection's assembler; each frame's payload is a view into that buffer,
+// valid until the next recv slice is fed, and is decoded from there
+// straight into the batch's AnyExample holders. A DATA frame allocates
+// nothing but that batch: the codec is resolved once per BIND and the
+// tenant's metric keys once per tenant.
 //
 // Threading: one acceptor thread owns the listening sockets; N handler
 // threads each run an epoll loop over their share of the connections
@@ -163,10 +168,12 @@ class IngestServer {
   /// when the connection must close.
   bool HandleReadable(Handler& handler, Connection& conn);
   /// Dispatches one complete frame. Returns false to close the connection.
-  bool ProcessFrame(Handler& handler, Connection& conn, Frame frame);
-  bool OnHello(Handler& handler, Connection& conn, const Frame& frame);
-  bool OnBindStream(Handler& handler, Connection& conn, const Frame& frame);
-  void OnData(Connection& conn, const Frame& frame);
+  bool ProcessFrame(Handler& handler, Connection& conn,
+                    const FrameView& frame);
+  bool OnHello(Handler& handler, Connection& conn, const FrameView& frame);
+  bool OnBindStream(Handler& handler, Connection& conn,
+                    const FrameView& frame);
+  void OnData(Connection& conn, const FrameView& frame);
   /// Queues a reply frame and tries to flush it. Returns false when the
   /// connection broke mid-write.
   bool SendFrame(Handler& handler, Connection& conn, FrameType type,
@@ -175,7 +182,8 @@ class IngestServer {
   /// Writes buffered outbound bytes; arms/disarms EPOLLOUT as needed.
   bool FlushOutbound(Handler& handler, Connection& conn);
   void CloseConnection(Handler& handler, Connection& conn);
-  /// Where an offered example ended up, wire-side.
+  /// Where an offered example ended up, wire-side. Indexes the tenant's
+  /// named-metric keys.
   enum class WireOutcome {
     kOffered,
     kAdmitted,

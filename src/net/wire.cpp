@@ -11,20 +11,54 @@ namespace omg::net {
 
 namespace {
 
-/// The reflected IEEE CRC32 table, built once.
-const std::array<std::uint32_t, 256>& CrcTable() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> built{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      built[i] = crc;
+/// Slice-by-8 tables for the reflected IEEE CRC32: kCrcTables[0] is the
+/// bytewise table, and kCrcTables[k][b] is the CRC of byte b followed by k
+/// zero bytes, so one lookup per byte of an 8-byte word advances the CRC
+/// by the whole word.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeCrcTables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    return built;
-  }();
-  return table;
+    tables[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
+    MakeCrcTables();
+
+// Byte offsets of the header fields (the layout in wire.hpp); the magic is
+// at 0 and header_crc32 at FrameHeader::kCrcCoveredBytes.
+constexpr std::size_t kVersionAt = 4;
+constexpr std::size_t kTypeAt = 6;
+constexpr std::size_t kSeqAt = 8;
+constexpr std::size_t kSessionAt = 16;
+constexpr std::size_t kStreamAt = 24;
+constexpr std::size_t kDomainAt = 32;
+constexpr std::size_t kCountAt = 40;
+constexpr std::size_t kLengthAt = 44;
+constexpr std::size_t kPayloadCrcAt = 48;
+constexpr std::size_t kHintAt = 52;
+
+template <typename T>
+void Store(std::uint8_t* at, T value) {
+  std::memcpy(at, &value, sizeof(T));
+}
+
+template <typename T>
+T Load(const std::uint8_t* at) {
+  T value;
+  std::memcpy(&value, at, sizeof(T));
+  return value;
 }
 
 serve::Error WireError(serve::ErrorCode code, std::string message) {
@@ -54,10 +88,19 @@ bool KnownFrameType(std::uint16_t type) {
 }
 
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes) {
-  const auto& table = CrcTable();
+  const auto& t = kCrcTables;
+  const std::uint8_t* at = bytes.data();
+  std::size_t left = bytes.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : bytes) {
-    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
+  for (; left >= 8; at += 8, left -= 8) {
+    const std::uint32_t lo = Load<std::uint32_t>(at) ^ crc;
+    const std::uint32_t hi = Load<std::uint32_t>(at + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; left > 0; ++at, --left) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *at) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -113,54 +156,6 @@ void WireWriter::Bytes(const void* data, std::size_t size) {
   buffer_.insert(buffer_.end(), bytes, bytes + size);
 }
 
-bool WireReader::U8(std::uint8_t& value) {
-  if (remaining() < 1) return false;
-  value = bytes_[offset_++];
-  return true;
-}
-
-bool WireReader::U16(std::uint16_t& value) {
-  if (remaining() < 2) return false;
-  value = static_cast<std::uint16_t>(bytes_[offset_] |
-                                     (bytes_[offset_ + 1] << 8));
-  offset_ += 2;
-  return true;
-}
-
-bool WireReader::U32(std::uint32_t& value) {
-  if (remaining() < 4) return false;
-  value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(bytes_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 4;
-  return true;
-}
-
-bool WireReader::U64(std::uint64_t& value) {
-  if (remaining() < 8) return false;
-  value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(bytes_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 8;
-  return true;
-}
-
-bool WireReader::I64(std::int64_t& value) {
-  std::uint64_t raw;
-  if (!U64(raw)) return false;
-  value = static_cast<std::int64_t>(raw);
-  return true;
-}
-
-bool WireReader::F64(double& value) {
-  std::uint64_t raw;
-  if (!U64(raw)) return false;
-  value = std::bit_cast<double>(raw);
-  return true;
-}
-
 bool WireReader::String(std::string& value) {
   std::uint32_t length;
   const std::size_t before = offset_;
@@ -175,34 +170,36 @@ bool WireReader::String(std::string& value) {
   return true;
 }
 
-void EncodeHeader(const FrameHeader& header, WireWriter& out) {
-  const std::size_t start = out.size();
-  out.Bytes(kWireMagic, sizeof(kWireMagic));
-  out.U16(header.version);
-  out.U16(static_cast<std::uint16_t>(header.type));
-  out.U64(header.seq);
-  out.U64(header.session);
-  out.U64(header.stream);
-  out.Bytes(header.domain, FrameHeader::kDomainBytes);
-  out.U32(header.count);
-  out.U32(header.payload_length);
-  out.U32(header.payload_crc32);
-  out.U64(header.hint_bits);
-  // The trailing header CRC covers everything appended above, whatever the
-  // caller's header_crc32 said.
-  out.U32(Crc32(std::span<const std::uint8_t>(
-      out.bytes().data() + start, FrameHeader::kCrcCoveredBytes)));
+std::array<std::uint8_t, FrameHeader::kBytes> EncodeHeader(
+    const FrameHeader& header) {
+  std::array<std::uint8_t, FrameHeader::kBytes> out;
+  std::uint8_t* at = out.data();
+  std::memcpy(at, kWireMagic, sizeof(kWireMagic));
+  Store(at + kVersionAt, header.version);
+  Store(at + kTypeAt, static_cast<std::uint16_t>(header.type));
+  Store(at + kSeqAt, header.seq);
+  Store(at + kSessionAt, header.session);
+  Store(at + kStreamAt, header.stream);
+  std::memcpy(at + kDomainAt, header.domain, FrameHeader::kDomainBytes);
+  Store(at + kCountAt, header.count);
+  Store(at + kLengthAt, header.payload_length);
+  Store(at + kPayloadCrcAt, header.payload_crc32);
+  Store(at + kHintAt, header.hint_bits);
+  Store(at + FrameHeader::kCrcCoveredBytes,
+        Crc32(std::span(out).first(FrameHeader::kCrcCoveredBytes)));
+  return out;
 }
 
 std::vector<std::uint8_t> EncodeFrame(FrameHeader header,
                                       std::span<const std::uint8_t> payload) {
   header.payload_length = static_cast<std::uint32_t>(payload.size());
   header.payload_crc32 = Crc32(payload);
-  WireWriter out;
-  out.buffer().reserve(FrameHeader::kBytes + payload.size());
-  EncodeHeader(header, out);
-  out.Bytes(payload.data(), payload.size());
-  return std::move(out.buffer());
+  const std::array<std::uint8_t, FrameHeader::kBytes> head =
+      EncodeHeader(header);
+  std::vector<std::uint8_t> out(head.size() + payload.size());
+  std::copy(head.begin(), head.end(), out.begin());
+  std::copy(payload.begin(), payload.end(), out.begin() + head.size());
+  return out;
 }
 
 serve::Result<FrameHeader> DecodeHeader(
@@ -217,23 +214,20 @@ serve::Result<FrameHeader> DecodeHeader(
     return WireError(serve::ErrorCode::kBadMagic,
                      "frame does not start with the OMGW magic");
   }
-  WireReader reader(bytes.subspan(sizeof(kWireMagic)));
+  const std::uint8_t* at = bytes.data();
   FrameHeader header;
-  std::uint16_t type = 0;
-  reader.U16(header.version);
-  reader.U16(type);
-  reader.U64(header.seq);
-  reader.U64(header.session);
-  reader.U64(header.stream);
-  std::uint64_t domain_words[1];
-  static_assert(FrameHeader::kDomainBytes == 8);
-  reader.U64(domain_words[0]);
-  std::memcpy(header.domain, domain_words, FrameHeader::kDomainBytes);
-  reader.U32(header.count);
-  reader.U32(header.payload_length);
-  reader.U32(header.payload_crc32);
-  reader.U64(header.hint_bits);
-  reader.U32(header.header_crc32);
+  const auto type = Load<std::uint16_t>(at + kTypeAt);
+  header.version = Load<std::uint16_t>(at + kVersionAt);
+  header.seq = Load<std::uint64_t>(at + kSeqAt);
+  header.session = Load<std::uint64_t>(at + kSessionAt);
+  header.stream = Load<std::uint64_t>(at + kStreamAt);
+  std::memcpy(header.domain, at + kDomainAt, FrameHeader::kDomainBytes);
+  header.count = Load<std::uint32_t>(at + kCountAt);
+  header.payload_length = Load<std::uint32_t>(at + kLengthAt);
+  header.payload_crc32 = Load<std::uint32_t>(at + kPayloadCrcAt);
+  header.hint_bits = Load<std::uint64_t>(at + kHintAt);
+  header.header_crc32 =
+      Load<std::uint32_t>(at + FrameHeader::kCrcCoveredBytes);
   if (header.version != kWireVersion) {
     return WireError(serve::ErrorCode::kBadVersion,
                      "wire version " + std::to_string(header.version) +
@@ -352,10 +346,7 @@ FrameAssembler::Step FrameAssembler::Next() {
                       header.value().count, false};
     return step;
   }
-  Frame frame;
-  frame.header = header.value();
-  frame.payload.assign(payload.begin(), payload.end());
-  step.frame = std::move(frame);
+  step.frame = FrameView{header.value(), payload};
   return step;
 }
 

@@ -36,8 +36,11 @@
 // mismatch, oversized length) is fatal and poisons the assembler.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -47,6 +50,11 @@
 #include "serve/result.hpp"
 
 namespace omg::net {
+
+// Fixed-width fields are loaded and stored with memcpy, which is the wire's
+// little-endian byte order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec assumes a little-endian host");
 
 /// First four bytes of every frame.
 inline constexpr std::uint8_t kWireMagic[4] = {'O', 'M', 'G', 'W'};
@@ -76,7 +84,8 @@ std::string_view FrameTypeName(FrameType type);
 /// True when `type`'s integer value is in the FrameType vocabulary.
 bool KnownFrameType(std::uint16_t type);
 
-/// IEEE 802.3 CRC32 (table-based, reflected) over `bytes`.
+/// IEEE 802.3 CRC32 (reflected) over `bytes`, eight bytes per step
+/// (slice-by-8 tables); the values are those of the bytewise table loop.
 std::uint32_t Crc32(std::span<const std::uint8_t> bytes);
 
 /// The fixed frame header; see the file comment for the wire layout.
@@ -138,7 +147,8 @@ class WireWriter {
 
 /// Bounds-checked little-endian cursor over a byte span. Every read returns
 /// false (consuming nothing) on underrun instead of throwing — malformed
-/// payloads are routine input on a server.
+/// payloads are routine input on a server. Fixed-width reads are inline
+/// loads: codecs call them once per field.
 class WireReader {
  public:
   /// Longest string a String() read accepts; caps allocation from a
@@ -147,25 +157,34 @@ class WireReader {
 
   explicit WireReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  bool U8(std::uint8_t& value);
-  bool U16(std::uint16_t& value);
-  bool U32(std::uint32_t& value);
-  bool U64(std::uint64_t& value);
-  bool I64(std::int64_t& value);
-  bool F64(double& value);
+  bool U8(std::uint8_t& value) { return Fixed(value); }
+  bool U16(std::uint16_t& value) { return Fixed(value); }
+  bool U32(std::uint32_t& value) { return Fixed(value); }
+  bool U64(std::uint64_t& value) { return Fixed(value); }
+  bool I64(std::int64_t& value) { return Fixed(value); }
+  bool F64(double& value) { return Fixed(value); }
   bool String(std::string& value);
 
   std::size_t remaining() const { return bytes_.size() - offset_; }
   bool AtEnd() const { return offset_ == bytes_.size(); }
 
  private:
+  template <typename T>
+  bool Fixed(T& value) {
+    if (remaining() < sizeof(T)) return false;
+    std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
+    offset_ += sizeof(T);
+    return true;
+  }
+
   std::span<const std::uint8_t> bytes_;
   std::size_t offset_ = 0;
 };
 
-/// Appends `header`'s kBytes encoding (magic included) to `out`, computing
-/// header_crc32 over the first kCrcCoveredBytes it appends.
-void EncodeHeader(const FrameHeader& header, WireWriter& out);
+/// `header`'s kBytes encoding (magic included), with header_crc32 computed
+/// over its first kCrcCoveredBytes whatever `header.header_crc32` says.
+std::array<std::uint8_t, FrameHeader::kBytes> EncodeHeader(
+    const FrameHeader& header);
 
 /// One whole frame: `header` with payload_length/payload_crc32 filled from
 /// `payload`, followed by the payload bytes.
@@ -177,10 +196,17 @@ std::vector<std::uint8_t> EncodeFrame(FrameHeader header,
 /// kCrcMismatch when the header's own CRC32 fails.
 serve::Result<FrameHeader> DecodeHeader(std::span<const std::uint8_t> bytes);
 
-/// One decoded frame.
+/// One decoded frame that owns its payload.
 struct Frame {
   FrameHeader header;
   std::vector<std::uint8_t> payload;
+};
+
+/// One decoded frame whose payload is a view into the decoder's buffer
+/// (FrameAssembler::Next says how long it stays valid).
+struct FrameView {
+  FrameHeader header;
+  std::span<const std::uint8_t> payload;
 };
 
 /// One-shot decode of a complete frame (header + payload, CRC verified).
@@ -207,26 +233,30 @@ struct DecodeFailure {
 
 /// Incremental per-connection frame reassembly: Feed() arbitrary read()
 /// slices, then drain complete frames with Next(). Handles frames split
-/// across any byte boundary, including mid-header.
+/// across any byte boundary, including mid-header. Feed copies the slice
+/// into the assembler's buffer; Next hands each payload out as a view into
+/// that buffer, so a frame costs no copy or allocation of its own.
 class FrameAssembler {
  public:
   /// `max_frame_bytes` bounds a single frame's payload (a corrupt or
   /// hostile length prefix must not buffer unbounded memory).
   explicit FrameAssembler(std::size_t max_frame_bytes);
 
-  /// Appends raw received bytes.
+  /// Appends raw received bytes. Invalidates every view Next() handed out.
   void Feed(std::span<const std::uint8_t> bytes);
 
   /// Outcome of one Next() call: exactly one of {frame, failure} is set,
   /// or neither when more bytes are needed.
   struct Step {
-    std::optional<Frame> frame;
+    std::optional<FrameView> frame;
     std::optional<DecodeFailure> failure;
     bool NeedMore() const { return !frame && !failure; }
   };
 
   /// Extracts the next complete frame (or failure) from the buffered
-  /// bytes. After a fatal failure every subsequent call repeats it.
+  /// bytes. The frame's payload view stays valid until the next Feed();
+  /// Next() itself moves no bytes, so views from successive calls coexist.
+  /// After a fatal failure every subsequent call repeats it.
   Step Next();
 
   /// Bytes buffered but not yet consumed by Next().

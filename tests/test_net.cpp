@@ -1,18 +1,25 @@
-// The network ingestion front end: wire codec round-trips for all four
-// domains, malformed-frame handling (truncation at every header boundary,
-// CRC corruption, oversized payloads), split-read reassembly, the
-// multi-tenant TCP/UDS server (auth, stream isolation, concurrent quota
-// enforcement), and clean shutdown with in-flight frames (the TSan job
-// runs this binary).
+// The network ingestion front end: the CRC against a bytewise reference,
+// wire codec round-trips for all four domains, malformed-frame handling
+// (truncation at every header boundary, CRC corruption, oversized
+// payloads), split-read reassembly and the bytes of its payload views, the
+// client's partial writes and reply bound, the multi-tenant TCP/UDS server
+// (auth, stream isolation, concurrent quota enforcement), and clean
+// shutdown with in-flight frames (the TSan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -45,6 +52,50 @@ TEST(Wire, Crc32KnownVector) {
                    text.size()}),
             0xCBF43926u);
   EXPECT_EQ(Crc32({}), 0u);
+}
+
+/// The bytewise table loop Crc32 must agree with.
+std::uint32_t BytewiseCrc32(std::span<const std::uint8_t> bytes) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> built{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      built[i] = crc;
+    }
+    return built;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : bytes) {
+    crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFFu];
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Every length up to 64 covers each tail the 8-byte steps leave, random
+// lengths up to 70 KB cover frame-sized inputs, and the 8 start offsets
+// cover every alignment of the word loads.
+TEST(Wire, Crc32MatchesTheBytewiseReference) {
+  constexpr std::size_t kMaxLength = 70 * 1024;
+  std::mt19937 rng(18);
+  std::vector<std::uint8_t> buffer(kMaxLength + 8);
+  for (std::uint8_t& byte : buffer) byte = static_cast<std::uint8_t>(rng());
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 64; ++length) {
+    lengths.push_back(length);
+  }
+  std::uniform_int_distribution<std::size_t> random_length(65, kMaxLength);
+  for (int i = 0; i < 32; ++i) lengths.push_back(random_length(rng));
+  for (const std::size_t length : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::span<const std::uint8_t> bytes =
+          std::span<const std::uint8_t>(buffer).subspan(offset, length);
+      ASSERT_EQ(Crc32(bytes), BytewiseCrc32(bytes))
+          << "length " << length << ", offset " << offset;
+    }
+  }
 }
 
 TEST(Wire, HeaderRoundTripPreservesEveryField) {
@@ -195,6 +246,27 @@ TEST(Codec, RejectsCountMismatchAndTrailingGarbage) {
             serve::ErrorCode::kMalformedPayload);
 }
 
+// A decoder that claims many examples over a short payload must not reserve
+// holders for the claim: the probe sees the batch's capacity before the
+// first decode.
+TEST(Codec, DecodeReservesNoMoreHoldersThanPayloadBytes) {
+  std::optional<std::size_t> first_capacity;
+  PayloadCodec probe;
+  probe.domain = "probe";
+  probe.decode = [&first_capacity](WireReader&,
+                                   std::vector<serve::AnyExample>& out) {
+    if (!first_capacity) first_capacity = out.capacity();
+    return false;
+  };
+  const std::vector<std::uint8_t> payload(16, 0);
+  const serve::Result<std::vector<serve::AnyExample>> decoded =
+      DecodeBatch(probe, payload, 1u << 20);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), serve::ErrorCode::kMalformedPayload);
+  ASSERT_TRUE(first_capacity.has_value());
+  EXPECT_LE(*first_capacity, 16u);
+}
+
 // -------------------------------------------------------------- assembler ---
 
 std::vector<std::uint8_t> MakeDataFrame(std::uint64_t seq,
@@ -224,11 +296,53 @@ TEST(Assembler, ReassemblesFramesFedByteAtATime) {
       FrameAssembler::Step step = assembler.Next();
       if (step.NeedMore()) break;
       ASSERT_TRUE(step.frame.has_value());
-      seen.push_back(step.frame->header.seq);
+      const std::uint64_t seq = step.frame->header.seq;
+      seen.push_back(seq);
       EXPECT_EQ(step.frame->payload.size(), 24u);
+      EXPECT_TRUE(std::ranges::all_of(
+          step.frame->payload,
+          [seq](std::uint8_t byte) { return byte == seq; }))
+          << "frame " << seq;
     }
   }
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_FALSE(assembler.MidFrame());
+}
+
+// Each Feed carries several whole frames and a partial one. The views from
+// one Feed are all read after its last Next and before the next Feed,
+// which compacts the buffer they point into.
+TEST(Assembler, ViewsFromOneFeedAreEachReadBeforeTheNextFeed) {
+  std::vector<std::uint8_t> stream;
+  for (std::uint64_t seq = 1; seq <= 24; ++seq) {
+    const std::vector<std::uint8_t> frame =
+        MakeDataFrame(seq, static_cast<std::uint8_t>(seq));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  constexpr std::size_t kSlice = 200;  // a frame is 88 bytes
+  FrameAssembler assembler(1 << 20);
+  std::uint64_t next = 1;
+  std::size_t most_in_one_feed = 0;
+  for (std::size_t at = 0; at < stream.size(); at += kSlice) {
+    assembler.Feed(std::span(stream).subspan(
+        at, std::min(kSlice, stream.size() - at)));
+    std::vector<FrameView> views;
+    for (FrameAssembler::Step step = assembler.Next(); step.frame;
+         step = assembler.Next()) {
+      views.push_back(*step.frame);
+    }
+    most_in_one_feed = std::max(most_in_one_feed, views.size());
+    for (const FrameView& view : views) {
+      EXPECT_EQ(view.header.seq, next);
+      EXPECT_EQ(view.payload.size(), 24u);
+      EXPECT_TRUE(std::ranges::all_of(
+          view.payload, [next](std::uint8_t byte) { return byte == next; }))
+          << "frame " << next;
+      ++next;
+    }
+  }
+  EXPECT_EQ(next, 25u);
+  EXPECT_GE(most_in_one_feed, 2u);
   EXPECT_FALSE(assembler.MidFrame());
 }
 
@@ -689,11 +803,15 @@ bool RawWriteAll(int fd, std::span<const std::uint8_t> bytes) {
   return true;
 }
 
-/// Reads frames off `fd` via `assembler` until one whole reply arrives.
+/// Reads frames off `fd` via `assembler` until one whole reply arrives,
+/// copied out of the assembler (its payload view ends at the next Feed).
 std::optional<Frame> RawReadFrame(int fd, FrameAssembler& assembler) {
   for (;;) {
     FrameAssembler::Step step = assembler.Next();
-    if (step.frame.has_value()) return std::move(step.frame);
+    if (step.frame.has_value()) {
+      const std::span<const std::uint8_t> payload = step.frame->payload;
+      return Frame{step.frame->header, {payload.begin(), payload.end()}};
+    }
     if (step.failure.has_value()) return std::nullopt;
     std::uint8_t buffer[512];
     const ssize_t n = ::read(fd, buffer, sizeof(buffer));
@@ -853,6 +971,136 @@ TEST(Server, PerTenantNamedMetricsReachTheRegistry) {
   ASSERT_TRUE(snapshot.named.contains("tenant/acme/offered"));
   EXPECT_EQ(snapshot.named.at("tenant/acme/offered"), 8u);
   EXPECT_EQ(snapshot.named.at("tenant/acme/admitted"), 8u);
+}
+
+// ----------------------------------------------------------------- client ---
+
+/// A UDS listener at `path` (replacing any stale socket file), or -1.
+int RawListen(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(path.c_str());
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 4) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// This process's socket connected to the UDS listener at `path`, or -1.
+/// ClientConnection keeps its descriptor private; the peer address finds it.
+int FdConnectedTo(const std::string& path) {
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_un peer{};
+    socklen_t length = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &length) == 0 &&
+        peer.sun_family == AF_UNIX && path == peer.sun_path) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+extern "C" void IgnoreSignal(int) {}
+
+// A 1 MB payload through an 8 KB send buffer, read slowly in 4 KB pieces.
+// SIGUSR1, installed without SA_RESTART, interrupts the blocked sendmsg:
+// after some bytes have gone out it returns a partial count, from which
+// SendEncoded must resume. What arrives is EncodeFrame's frame, byte for
+// byte.
+TEST(Client, SendEncodedResumesPartialWritesByteForByte) {
+  const std::string path = TestSocketPath("sendmsg");
+  const int listener = RawListen(path);
+  ASSERT_GE(listener, 0);
+  serve::Result<ClientConnection> conn = ClientConnection::ConnectUds(path);
+  ASSERT_TRUE(conn.ok());
+  ClientConnection client = std::move(conn.value());
+  const int server = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(server, 0);
+  const int client_fd = FdConnectedTo(path);
+  ASSERT_GE(client_fd, 0);
+  const int send_buffer = 4096;  // the kernel doubles it
+  ASSERT_EQ(::setsockopt(client_fd, SOL_SOCKET, SO_SNDBUF, &send_buffer,
+                         sizeof(send_buffer)),
+            0);
+
+  std::vector<std::uint8_t> payload(1 << 20);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 131 + (i >> 12));
+  }
+  FrameHeader header;  // what SendEncoded builds on a fresh connection
+  header.type = FrameType::kData;
+  header.seq = 1;
+  header.stream = 3;
+  header.set_domain_tag("av");
+  header.count = 5;
+  header.set_hint(0.5);
+  const std::vector<std::uint8_t> expected = EncodeFrame(header, payload);
+
+  struct sigaction interrupt {};
+  interrupt.sa_handler = IgnoreSignal;
+  sigemptyset(&interrupt.sa_mask);
+  interrupt.sa_flags = 0;
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+  std::optional<serve::Result<bool>> sent;
+  std::thread sender(
+      [&] { sent = client.SendEncoded(3, "av", 5, payload, 0.5); });
+  std::vector<std::uint8_t> received;
+  std::uint8_t piece[4096];
+  while (received.size() < expected.size()) {
+    ::pthread_kill(sender.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    const ssize_t n = ::read(server, piece, sizeof(piece));
+    if (n <= 0) break;
+    received.insert(received.end(), piece, piece + n);
+  }
+  sender.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ::close(server);
+  ::close(listener);
+  ::unlink(path.c_str());
+
+  ASSERT_TRUE(sent.has_value());
+  ASSERT_TRUE(sent->ok()) << sent->error().message;
+  EXPECT_EQ(client.bytes_sent(), expected.size());
+  ASSERT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected);
+}
+
+// The length a reply header claims is the peer's word: a header with a
+// valid CRC that claims 64 MiB is refused as oversized before the client
+// allocates anything for it.
+TEST(Client, RejectsAReplyLongerThanAnyReply) {
+  const std::string path = TestSocketPath("huge-reply");
+  const int listener = RawListen(path);
+  ASSERT_GE(listener, 0);
+  serve::Result<ClientConnection> conn = ClientConnection::ConnectUds(path);
+  ASSERT_TRUE(conn.ok());
+  ClientConnection client = std::move(conn.value());
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    FrameAssembler requests(1 << 20);
+    const std::optional<Frame> hello = RawReadFrame(fd, requests);
+    FrameHeader reply;
+    reply.type = FrameType::kAck;
+    reply.seq = hello ? hello->header.seq : 0;
+    reply.payload_length = 64u << 20;  // claimed, never sent
+    RawWriteAll(fd, EncodeHeader(reply));
+    ::close(fd);
+  });
+  const serve::Result<std::uint64_t> session = client.Hello("t", "");
+  peer.join();
+  ::close(listener);
+  ::unlink(path.c_str());
+
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.error().code, serve::ErrorCode::kOversizedFrame);
 }
 
 TEST(LoadClient, FourConnectionsReconcileOverUdsAndTcp) {
