@@ -16,6 +16,7 @@ RetrainWorker::RetrainWorker(RetrainConfig config,
   Check(registry_ != nullptr, "retrain worker needs a registry");
   Check(registry_->version() >= 1,
         "registry must hold the pretrained model before retraining starts");
+  nn::CheckFits(registry_->Current().model->config(), replay);
   if (config_.replay_weight > 0.0) {
     for (std::size_t i = 0; i < replay.size(); ++i) {
       const double weight =
@@ -68,15 +69,43 @@ std::vector<std::string> RetrainWorker::Errors() const {
 void RetrainWorker::Run() {
   common::Rng rng(config_.seed);
   for (;;) {
-    nn::Dataset snapshot;
+    std::vector<nn::Dataset> batches;
     {
       MutexLock lock(mutex_);
       while (!stop_ && pending_.empty()) work_cv_.Wait(mutex_);
       if (pending_.empty()) break;  // stop_ with nothing left to train
-      for (nn::Dataset& batch : pending_) accumulated_.Append(batch);
-      pending_.clear();
+      batches.swap(pending_);
       training_ = true;
-      snapshot = accumulated_;  // train outside the lock on a copy
+    }
+
+    // Clone the currently served model; the fine-tune below updates the
+    // clone, and serving keeps reading the old handle until the publish.
+    nn::Mlp model = *registry_->Current().model;
+    nn::Dataset snapshot;
+    bool accepted = false;
+    {
+      MutexLock lock(mutex_);
+      for (const nn::Dataset& batch : batches) {
+        // A batch that does not fit the model would fail this fine-tune
+        // and every later one: reject it here, once, and keep the rest.
+        try {
+          nn::CheckFits(model.config(), batch);
+          accumulated_.Append(batch);
+          accepted = true;
+        } catch (const common::CheckError& error) {
+          errors_.push_back(std::string("label batch rejected: ") +
+                            error.what());
+        }
+      }
+      if (accepted) {
+        snapshot = accumulated_;  // train outside the lock on a copy
+      } else {
+        training_ = false;
+      }
+    }
+    if (!accepted) {
+      idle_cv_.NotifyAll();
+      continue;
     }
     if (config_.on_retrain_start) config_.on_retrain_start();
     if (config_.tracer != nullptr) {
@@ -87,12 +116,9 @@ void RetrainWorker::Run() {
     }
     std::uint64_t published_version = 0;
 
-    // Clone the currently served model and fine-tune the clone; serving
-    // keeps reading the old handle until the publish below. A throwing
-    // fine-tune (e.g. a feature-dimension mismatch in a labeled row) must
-    // not escape the thread: record it and keep the worker alive.
+    // A throwing fine-tune must not escape the thread: record it and keep
+    // the worker alive.
     try {
-      nn::Mlp model = *registry_->Current().model;
       nn::Dataset combined = replay_;
       combined.Append(snapshot);
       nn::SoftmaxTrainer trainer(config_.sgd);

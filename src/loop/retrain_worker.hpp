@@ -50,7 +50,8 @@ struct RetrainConfig {
 class RetrainWorker {
  public:
   /// `registry` must already hold a published model (the pretrained one);
-  /// every fine-tune starts from the registry's current version.
+  /// every fine-tune starts from the registry's current version. `replay`
+  /// must fit that model (nn::CheckFits).
   RetrainWorker(RetrainConfig config, std::shared_ptr<ModelRegistry> registry,
                 nn::Dataset replay = {});
 
@@ -72,8 +73,10 @@ class RetrainWorker {
   /// Rows in the accumulated labeled dataset (excludes replay).
   std::size_t accumulated_rows() const;
 
-  /// Messages from fine-tunes that threw (a bad labeled row poisons its
-  /// retrain, not the worker thread or the process).
+  /// Messages from rejected batches and from fine-tunes that threw. A
+  /// submitted batch that does not fit the served model (nn::CheckFits) is
+  /// recorded here once and dropped; it never joins the accumulated labels,
+  /// so later batches still train and publish.
   std::vector<std::string> Errors() const;
 
  private:

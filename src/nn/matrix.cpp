@@ -43,16 +43,6 @@ std::span<const double> Matrix::Row(std::size_t r) const {
   return std::span<const double>(data_).subspan(r * cols_, cols_);
 }
 
-void Matrix::SetZero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
-void Matrix::AddScaled(const Matrix& other, double scale) {
-  Check(rows_ == other.rows_ && cols_ == other.cols_,
-        "AddScaled shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scale * other.data_[i];
-  }
-}
-
 Matrix Matrix::MatMul(const Matrix& other) const {
   Check(cols_ == other.rows_, "MatMul inner-dimension mismatch");
   Matrix out(rows_, other.cols_);
@@ -64,54 +54,6 @@ Matrix Matrix::MatMul(const Matrix& other) const {
       double* o_row = &out.data_[i * other.cols_];
       for (std::size_t j = 0; j < other.cols_; ++j) o_row[j] += a * b_row[j];
     }
-  }
-  return out;
-}
-
-Matrix Matrix::TransposedMatMul(const Matrix& other) const {
-  Check(rows_ == other.rows_, "TransposedMatMul row mismatch");
-  Matrix out(cols_, other.cols_);
-  for (std::size_t k = 0; k < rows_; ++k) {
-    const double* a_row = &data_[k * cols_];
-    const double* b_row = &other.data_[k * other.cols_];
-    for (std::size_t i = 0; i < cols_; ++i) {
-      const double a = a_row[i];
-      if (a == 0.0) continue;
-      double* o_row = &out.data_[i * other.cols_];
-      for (std::size_t j = 0; j < other.cols_; ++j) o_row[j] += a * b_row[j];
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::MatMulTransposed(const Matrix& other) const {
-  Check(cols_ == other.cols_, "MatMulTransposed col mismatch");
-  Matrix out(rows_, other.rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* a_row = &data_[i * cols_];
-    for (std::size_t j = 0; j < other.rows_; ++j) {
-      const double* b_row = &other.data_[j * other.cols_];
-      double sum = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) sum += a_row[k] * b_row[k];
-      out.data_[i * other.rows_ + j] = sum;
-    }
-  }
-  return out;
-}
-
-double Matrix::SquaredNorm() const {
-  double sum = 0.0;
-  for (double v : data_) sum += v * v;
-  return sum;
-}
-
-Matrix StackRows(std::span<const std::vector<double>> rows) {
-  if (rows.empty()) return Matrix();
-  const std::size_t cols = rows.front().size();
-  Matrix out(rows.size(), cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    Check(rows[r].size() == cols, "StackRows ragged input");
-    std::copy(rows[r].begin(), rows[r].end(), out.Row(r).begin());
   }
   return out;
 }

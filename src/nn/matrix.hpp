@@ -3,6 +3,13 @@
 // This is deliberately a small, double-precision, single-threaded matrix:
 // the models in this reproduction are tiny (tens of units), and double
 // precision keeps training bit-reproducible across platforms.
+//
+// A Matrix holds an Mlp's weights and biases, and MatMul serves inference
+// (Mlp::Logits). Training does not multiply Matrix objects: SoftmaxTrainer
+// runs its own kernels over a workspace (nn/trainer.hpp). Those kernels
+// keep MatMul's arithmetic, which is the bit-identity contract between the
+// two: each output sums its products from 0.0 over ascending k, and a zero
+// entry of the left operand adds nothing.
 #pragma once
 
 #include <cstddef>
@@ -38,32 +45,13 @@ class Matrix {
   std::span<double> Data() { return data_; }
   std::span<const double> Data() const { return data_; }
 
-  /// Sets every element to zero.
-  void SetZero();
-
-  /// this += scale * other (same shape).
-  void AddScaled(const Matrix& other, double scale);
-
   /// Returns this * other. Requires cols() == other.rows().
   Matrix MatMul(const Matrix& other) const;
-
-  /// Returns transpose(this) * other. Requires rows() == other.rows().
-  Matrix TransposedMatMul(const Matrix& other) const;
-
-  /// Returns this * transpose(other). Requires cols() == other.cols().
-  Matrix MatMulTransposed(const Matrix& other) const;
-
-  /// Frobenius norm squared (used for L2 regularisation).
-  double SquaredNorm() const;
 
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Builds a matrix whose rows are the given feature vectors (all must have
-/// equal length; the result is 0x0 when `rows` is empty).
-Matrix StackRows(std::span<const std::vector<double>> rows);
 
 }  // namespace omg::nn

@@ -28,11 +28,9 @@ Mlp::Mlp(const MlpConfig& config, common::Rng& rng) : config_(config) {
   }
 }
 
-Matrix Mlp::Forward(const Matrix& x,
-                    std::vector<Matrix>* activations) const {
+Matrix Mlp::Logits(const Matrix& x) const {
   Check(x.cols() == config_.input_dim, "Mlp input dimension mismatch");
   Matrix h = x;
-  if (activations != nullptr) activations->clear();
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     Matrix z = h.MatMul(weights_[l]);
     for (std::size_t r = 0; r < z.rows(); ++r) {
@@ -44,17 +42,14 @@ Matrix Mlp::Forward(const Matrix& x,
     if (!is_output) {
       for (double& v : z.Data()) v = std::max(0.0, v);  // ReLU
     }
-    if (activations != nullptr) activations->push_back(z);
     h = std::move(z);
   }
   return h;
 }
 
-Matrix Mlp::Logits(const Matrix& x) const { return Forward(x, nullptr); }
-
 std::vector<double> Mlp::PredictProba(std::span<const double> x) const {
   Matrix row(1, x.size(), std::vector<double>(x.begin(), x.end()));
-  Matrix logits = Forward(row, nullptr);
+  Matrix logits = Logits(row);
   return Softmax(logits.Row(0));
 }
 

@@ -56,12 +56,6 @@ class Mlp {
   const std::vector<Matrix>& biases() const { return biases_; }
 
  private:
-  friend class SoftmaxTrainer;
-
-  /// Forward pass; when `activations` is non-null it receives the
-  /// post-activation output of every layer (for backprop).
-  Matrix Forward(const Matrix& x, std::vector<Matrix>* activations) const;
-
   MlpConfig config_;
   std::vector<Matrix> weights_;  // weights_[l] is (fan_in x fan_out)
   std::vector<Matrix> biases_;   // biases_[l] is (1 x fan_out)

@@ -2,13 +2,166 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace omg::nn {
 
 using common::Check;
+
+namespace {
+
+// Two doubles: the vector width of every x86-64 and AArch64 target, so the
+// kernels below need no ISA flag and no dispatch. A kernel keeps kBlock
+// rows (or inputs) in four of them.
+typedef double Vec __attribute__((vector_size(16)));
+typedef std::int64_t Bits __attribute__((vector_size(16)));
+constexpr std::size_t kBlock = 8;
+
+std::size_t RoundUpToBlock(std::size_t n) {
+  return (n + kBlock - 1) / kBlock * kBlock;
+}
+
+Vec Load(const double* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void Store(double* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+Vec Splat(double x) { return Vec{x, x}; }
+
+/// `v` in the lanes where `keep` is all ones, +0.0 in the others: a select
+/// written as a bitwise and, which g++ and clang both accept.
+Vec Keep(Vec v, Bits keep) { return (Vec)((Bits)v & keep); }
+
+/// All ones in the lanes where `a` is nonzero. Keep(a * b, NonZero(a)) is
+/// a*b, or +0.0 where a is zero. A sum that starts from +0.0 is never -0.0,
+/// and adding +0.0 leaves it unchanged, so adding that product matches
+/// skipping a zero `a`, even where b is infinite or NaN.
+Bits NonZero(Vec a) { return (Bits)(a != Vec{}); }
+
+/// One dense layer over `rows` rows (a multiple of kBlock), with `in` and
+/// `out` feature-major at `stride`: out[j][r] is the sum over ascending k,
+/// from 0.0 and skipping zero inputs, of in[k][r] * w[k][j], plus b[j],
+/// clamped to +0.0 unless positive (std::max(0.0, z)) when `relu`. When
+/// `out_by_row` is non-null it receives the outputs batch-major too, row r
+/// at r * out_row_stride. The sums accumulate in `out`, so the inputs of a
+/// block and their zero masks are loaded once for every output.
+void DenseForward(const double* in, std::size_t stride, std::size_t rows,
+                  const Matrix& weights, const Matrix& bias, bool relu,
+                  double* out, double* out_by_row,
+                  std::size_t out_row_stride) {
+  const std::size_t fan_in = weights.rows();
+  const std::size_t fan_out = weights.cols();
+  const double* w = weights.Data().data();
+  const double* b = bias.Data().data();
+  for (std::size_t r = 0; r < rows; r += kBlock) {
+    for (std::size_t j = 0; j < fan_out; ++j) {
+      std::fill_n(out + j * stride + r, kBlock, 0.0);
+    }
+    for (std::size_t k = 0; k < fan_in; ++k) {
+      const double* x = in + k * stride + r;
+      const Vec x0 = Load(x), x1 = Load(x + 2), x2 = Load(x + 4),
+                x3 = Load(x + 6);
+      const Bits m0 = NonZero(x0), m1 = NonZero(x1), m2 = NonZero(x2),
+                 m3 = NonZero(x3);
+      const double* wk = w + k * fan_out;
+      for (std::size_t j = 0; j < fan_out; ++j) {
+        const Vec wj = Splat(wk[j]);
+        double* o = out + j * stride + r;
+        Store(o, Load(o) + Keep(x0 * wj, m0));
+        Store(o + 2, Load(o + 2) + Keep(x1 * wj, m1));
+        Store(o + 4, Load(o + 4) + Keep(x2 * wj, m2));
+        Store(o + 6, Load(o + 6) + Keep(x3 * wj, m3));
+      }
+    }
+    for (std::size_t j = 0; j < fan_out; ++j) {
+      const Vec bj = Splat(b[j]);
+      double* o = out + j * stride + r;
+      for (std::size_t q = 0; q < kBlock; q += 2) {
+        Vec z = Load(o + q) + bj;
+        if (relu) z = Keep(z, (Bits)(z > Vec{}));
+        Store(o + q, z);
+      }
+      if (out_by_row == nullptr) continue;
+      for (std::size_t q = 0; q < kBlock; ++q) {
+        out_by_row[(r + q) * out_row_stride + j] = o[q];
+      }
+    }
+  }
+}
+
+/// grad[j][i], for fan_out rows of `in_stride` (a multiple of kBlock), is
+/// the sum over ascending r < rows, from 0.0 and skipping zero inputs, of
+/// in_by_row[r][i] * delta[j][r], and bias_grad[j] the plain sum of
+/// delta[j][r]; `delta` is feature-major at `delta_stride`. As in
+/// DenseForward, the sums accumulate in memory so that a row's inputs and
+/// masks are loaded once for every output.
+void WeightGradient(const double* in_by_row, std::size_t in_stride,
+                    std::size_t rows, const double* delta,
+                    std::size_t delta_stride, std::size_t fan_out,
+                    double* grad, double* bias_grad) {
+  std::fill_n(grad, fan_out * in_stride, 0.0);
+  std::fill_n(bias_grad, fan_out, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < fan_out; ++j) {
+      bias_grad[j] += delta[j * delta_stride + r];
+    }
+    for (std::size_t i = 0; i < in_stride; i += kBlock) {
+      const double* x = in_by_row + r * in_stride + i;
+      const Vec x0 = Load(x), x1 = Load(x + 2), x2 = Load(x + 4),
+                x3 = Load(x + 6);
+      const Bits m0 = NonZero(x0), m1 = NonZero(x1), m2 = NonZero(x2),
+                 m3 = NonZero(x3);
+      for (std::size_t j = 0; j < fan_out; ++j) {
+        const Vec dj = Splat(delta[j * delta_stride + r]);
+        double* g = grad + j * in_stride + i;
+        Store(g, Load(g) + Keep(x0 * dj, m0));
+        Store(g + 2, Load(g + 2) + Keep(x1 * dj, m1));
+        Store(g + 4, Load(g + 4) + Keep(x2 * dj, m2));
+        Store(g + 6, Load(g + 6) + Keep(x3 * dj, m3));
+      }
+    }
+  }
+}
+
+/// below[k][r] is the sum over ascending j, from 0.0, of delta[j][r] *
+/// w[k][j], or +0.0 where the activation act[k][r] of the layer below is
+/// <= 0 (ReLU's derivative), for `rows` rows (a multiple of kBlock); all
+/// three buffers are feature-major at `stride`.
+void BackpropDelta(const double* delta, std::size_t stride, std::size_t rows,
+                   const Matrix& weights, const double* act, double* below) {
+  const std::size_t fan_in = weights.rows();
+  const std::size_t fan_out = weights.cols();
+  const double* w = weights.Data().data();
+  for (std::size_t r = 0; r < rows; r += kBlock) {
+    for (std::size_t k = 0; k < fan_in; ++k) {
+      Vec s0{}, s1{}, s2{}, s3{};
+      for (std::size_t j = 0; j < fan_out; ++j) {
+        const double* d = delta + j * stride + r;
+        const Vec wj = Splat(w[k * fan_out + j]);
+        s0 += Load(d) * wj;
+        s1 += Load(d + 2) * wj;
+        s2 += Load(d + 4) * wj;
+        s3 += Load(d + 6) * wj;
+      }
+      const double* a = act + k * stride + r;
+      double* o = below + k * stride + r;
+      Store(o, Keep(s0, ~(Bits)(Load(a) <= Vec{})));
+      Store(o + 2, Keep(s1, ~(Bits)(Load(a + 2) <= Vec{})));
+      Store(o + 4, Keep(s2, ~(Bits)(Load(a + 4) <= Vec{})));
+      Store(o + 6, Keep(s3, ~(Bits)(Load(a + 6) <= Vec{})));
+    }
+  }
+}
+
+}  // namespace
 
 void Dataset::Add(std::vector<double> feature, std::size_t label,
                   double weight) {
@@ -38,18 +191,8 @@ SoftmaxTrainer::SoftmaxTrainer(SgdConfig config) : config_(config) {
 double SoftmaxTrainer::Train(Mlp& model, const Dataset& data,
                              common::Rng& rng) {
   if (data.empty()) return 0.0;
-  Check(data.features.size() == data.labels.size(),
-        "Dataset features/labels size mismatch");
-  if (weight_velocity_.size() != model.weights().size()) {
-    weight_velocity_.clear();
-    bias_velocity_.clear();
-    for (const auto& w : model.weights()) {
-      weight_velocity_.emplace_back(w.rows(), w.cols());
-    }
-    for (const auto& b : model.biases()) {
-      bias_velocity_.emplace_back(b.rows(), b.cols());
-    }
-  }
+  CheckFits(model.config(), data);
+  SizeWorkspace(model, std::min(config_.batch_size, data.size()));
 
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -57,6 +200,7 @@ double SoftmaxTrainer::Train(Mlp& model, const Dataset& data,
   double last_epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.Shuffle(order);
+    const bool last_epoch = epoch + 1 == config_.epochs;
     double epoch_loss = 0.0;
     for (std::size_t start = 0; start < order.size();
          start += config_.batch_size) {
@@ -64,90 +208,148 @@ double SoftmaxTrainer::Train(Mlp& model, const Dataset& data,
           std::min(start + config_.batch_size, order.size());
       epoch_loss += Step(model, data,
                          std::span<const std::size_t>(order).subspan(
-                             start, end - start));
+                             start, end - start),
+                         last_epoch);
     }
     last_epoch_loss = epoch_loss / static_cast<double>(data.size());
   }
   return last_epoch_loss;
 }
 
-double SoftmaxTrainer::Step(Mlp& model, const Dataset& data,
-                            std::span<const std::size_t> batch) {
-  const std::size_t n = batch.size();
-  const std::size_t num_classes = model.config().num_classes;
+void SoftmaxTrainer::SizeWorkspace(const Mlp& model, std::size_t rows) {
+  const auto& weights = model.weights();
+  bool same_shape = layers_.size() == weights.size();
+  for (std::size_t l = 0; same_shape && l < weights.size(); ++l) {
+    same_shape = layers_[l].fan_in == weights[l].rows() &&
+                 layers_[l].fan_out == weights[l].cols();
+  }
+  if (!same_shape) layers_.assign(weights.size(), LayerBuffers{});
 
-  Matrix x(n, model.config().input_dim);
+  row_stride_ = RoundUpToBlock(rows);
+  std::size_t widest = 0;
+  for (std::size_t l = 0; l < weights.size(); ++l) {
+    LayerBuffers& layer = layers_[l];
+    layer.fan_in = weights[l].rows();
+    layer.fan_out = weights[l].cols();
+    layer.fan_in_padded = RoundUpToBlock(layer.fan_in);
+    layer.input_by_row.assign(row_stride_ * layer.fan_in_padded, 0.0);
+    layer.output.assign(layer.fan_out * row_stride_, 0.0);
+    layer.weight_grad.assign(layer.fan_out * layer.fan_in_padded, 0.0);
+    layer.bias_grad.assign(layer.fan_out, 0.0);
+    if (!same_shape) {
+      layer.weight_velocity.assign(weights[l].size(), 0.0);
+      layer.bias_velocity.assign(layer.fan_out, 0.0);
+    }
+    widest = std::max(widest, layer.fan_out);
+  }
+  input_.assign(model.config().input_dim * row_stride_, 0.0);
+  delta_.assign(widest * row_stride_, 0.0);
+  delta_below_.assign(widest * row_stride_, 0.0);
+}
+
+double SoftmaxTrainer::Step(Mlp& model, const Dataset& data,
+                            std::span<const std::size_t> batch,
+                            bool with_loss) {
+  const std::size_t n = batch.size();
+  const std::size_t rows = RoundUpToBlock(n);
+  const std::size_t stride = row_stride_;
+  const std::size_t input_dim = model.config().input_dim;
+  const std::size_t num_classes = model.config().num_classes;
+  auto& weights = model.weights();
+  auto& biases = model.biases();
+
+  // Gather the minibatch: feature-major for the forward pass, batch-major
+  // for the first layer's weight gradient.
+  LayerBuffers& first = layers_.front();
   for (std::size_t r = 0; r < n; ++r) {
-    const auto& f = data.features[batch[r]];
-    Check(f.size() == model.config().input_dim, "feature dim mismatch");
-    std::copy(f.begin(), f.end(), x.Row(r).begin());
+    const double* f = data.features[batch[r]].data();
+    for (std::size_t k = 0; k < input_dim; ++k) {
+      input_[k * stride + r] = f[k];
+      first.input_by_row[r * first.fan_in_padded + k] = f[k];
+    }
   }
 
-  std::vector<Matrix> activations;
-  Matrix logits = model.Forward(x, &activations);
-  Matrix proba = logits;
-  SoftmaxRows(proba);
+  const double* in = input_.data();
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const bool hidden = l + 1 < layers_.size();
+    LayerBuffers* next = hidden ? &layers_[l + 1] : nullptr;
+    DenseForward(in, stride, rows, weights[l], biases[l], hidden,
+                 layers_[l].output.data(),
+                 hidden ? next->input_by_row.data() : nullptr,
+                 hidden ? next->fan_in_padded : 0);
+    in = layers_[l].output.data();
+  }
 
-  // dL/dlogits = weight * (p - onehot) / n, and the summed batch loss.
+  // Softmax as SoftmaxRows computes it, the summed batch loss, and
+  // dL/dlogits = weight * (p - onehot) / n.
+  const double* logits = layers_.back().output.data();
+  double* delta = delta_.data();
   double batch_loss = 0.0;
-  Matrix dlogits(n, num_classes);
   for (std::size_t r = 0; r < n; ++r) {
     const std::size_t label = data.labels[batch[r]];
-    Check(label < num_classes, "label out of range");
-    const double w =
-        data.weights.empty() ? 1.0 : data.weights[batch[r]];
-    const auto p = proba.Row(r);
-    batch_loss += -w * std::log(std::max(p[label], 1e-12));
-    auto d = dlogits.Row(r);
+    const double w = data.weights.empty() ? 1.0 : data.weights[batch[r]];
+    double max_logit = logits[r];
+    for (std::size_t c = 1; c < num_classes; ++c) {
+      max_logit = std::max(max_logit, logits[c * stride + r]);
+    }
+    double sum = 0.0;
     for (std::size_t c = 0; c < num_classes; ++c) {
-      d[c] = w * (p[c] - (c == label ? 1.0 : 0.0)) /
-             static_cast<double>(n);
+      const double e = std::exp(logits[c * stride + r] - max_logit);
+      delta[c * stride + r] = e;
+      sum += e;
     }
-  }
-
-  // Backprop through the dense/ReLU stack.
-  const auto& weights = model.weights();
-  std::vector<Matrix> grad_w(weights.size());
-  std::vector<Matrix> grad_b(weights.size());
-  Matrix delta = std::move(dlogits);
-  for (std::size_t l = weights.size(); l-- > 0;) {
-    const Matrix& input =
-        (l == 0) ? x : activations[l - 1];  // post-activation of layer l-1
-    grad_w[l] = input.TransposedMatMul(delta);
-    grad_b[l] = Matrix(1, delta.cols());
-    for (std::size_t r = 0; r < delta.rows(); ++r) {
-      const auto d = delta.Row(r);
-      auto g = grad_b[l].Row(0);
-      for (std::size_t c = 0; c < d.size(); ++c) g[c] += d[c];
-    }
-    if (l > 0) {
-      Matrix next = delta.MatMulTransposed(weights[l]);
-      // ReLU mask of the layer below.
-      const Matrix& act = activations[l - 1];
-      for (std::size_t i = 0; i < next.size(); ++i) {
-        if (act.Data()[i] <= 0.0) next.Data()[i] = 0.0;
+    for (std::size_t c = 0; c < num_classes; ++c) {
+      const double p = delta[c * stride + r] / sum;
+      if (with_loss && c == label) {
+        batch_loss += -w * std::log(std::max(p, 1e-12));
       }
-      delta = std::move(next);
+      delta[c * stride + r] =
+          w * (p - (c == label ? 1.0 : 0.0)) / static_cast<double>(n);
     }
   }
 
-  // SGD with momentum and L2 weight decay (decay on weights only).
-  for (std::size_t l = 0; l < weights.size(); ++l) {
-    grad_w[l].AddScaled(model.weights()[l], config_.l2);
-    weight_velocity_[l].AddScaled(weight_velocity_[l],
-                                  config_.momentum - 1.0);  // v *= momentum
-    weight_velocity_[l].AddScaled(grad_w[l], -config_.learning_rate);
-    model.weights()[l].AddScaled(weight_velocity_[l], 1.0);
+  // Backprop through the dense/ReLU stack; each layer's SGD step (momentum,
+  // L2 decay on weights only) follows once its weights have passed the
+  // delta down.
+  const double decay = config_.momentum - 1.0;  // v + (m-1)*v is m*v
+  const double step = -config_.learning_rate;
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    LayerBuffers& layer = layers_[l];
+    WeightGradient(layer.input_by_row.data(), layer.fan_in_padded, n,
+                   delta_.data(), stride, layer.fan_out,
+                   layer.weight_grad.data(), layer.bias_grad.data());
+    if (l > 0) {
+      BackpropDelta(delta_.data(), stride, rows, weights[l],
+                    layers_[l - 1].output.data(), delta_below_.data());
+    }
 
-    bias_velocity_[l].AddScaled(bias_velocity_[l], config_.momentum - 1.0);
-    bias_velocity_[l].AddScaled(grad_b[l], -config_.learning_rate);
-    model.biases()[l].AddScaled(bias_velocity_[l], 1.0);
+    double* w = weights[l].Data().data();
+    for (std::size_t k = 0; k < layer.fan_in; ++k) {
+      for (std::size_t j = 0; j < layer.fan_out; ++j) {
+        const std::size_t at = k * layer.fan_out + j;
+        const double g = layer.weight_grad[j * layer.fan_in_padded + k] +
+                         config_.l2 * w[at];
+        double& v = layer.weight_velocity[at];
+        v = v + decay * v;
+        v = v + step * g;
+        w[at] = w[at] + 1.0 * v;
+      }
+    }
+    double* b = biases[l].Data().data();
+    for (std::size_t j = 0; j < layer.fan_out; ++j) {
+      double& v = layer.bias_velocity[j];
+      v = v + decay * v;
+      v = v + step * layer.bias_grad[j];
+      b[j] = b[j] + 1.0 * v;
+    }
+    std::swap(delta_, delta_below_);
   }
   return batch_loss;
 }
 
 double SoftmaxTrainer::Loss(const Mlp& model, const Dataset& data) const {
   if (data.empty()) return 0.0;
+  CheckFits(model.config(), data);
   double total = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const auto proba = model.PredictProba(data.features[i]);
@@ -155,6 +357,17 @@ double SoftmaxTrainer::Loss(const Mlp& model, const Dataset& data) const {
     total += -w * std::log(std::max(proba[data.labels[i]], 1e-12));
   }
   return total / static_cast<double>(data.size());
+}
+
+void CheckFits(const MlpConfig& shape, const Dataset& data) {
+  Check(data.features.size() == data.labels.size(),
+        "Dataset features/labels size mismatch");
+  Check(data.weights.empty() || data.weights.size() == data.size(),
+        "Dataset weights/rows size mismatch");
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    Check(data.features[i].size() == shape.input_dim, "feature dim mismatch");
+    Check(data.labels[i] < shape.num_classes, "label out of range");
+  }
 }
 
 double Accuracy(const Mlp& model, const Dataset& data) {

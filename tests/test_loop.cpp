@@ -313,6 +313,47 @@ TEST(RetrainWorker, RequiresPretrainedRegistry) {
                common::CheckError);
 }
 
+// A batch that does not fit the model is rejected once and dropped: it
+// never joins the accumulated labels, so the batches after it still train
+// and publish.
+TEST(RetrainWorker, BadBatchIsDroppedAndLaterBatchesPublish) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->Publish(MakeModel(7));
+  RetrainConfig config;
+  config.sgd = {0.1, 0.9, 1e-4, 16, 5};
+  RetrainWorker worker(config, registry);
+
+  nn::Dataset bad = TwoClassData(1, 8);
+  bad.Add({0.5, 0.5, 0.5}, 1);  // 3 wide, for a 2-input model
+  worker.Submit(std::move(bad));
+  worker.WaitIdle();
+  EXPECT_EQ(worker.Errors().size(), 1u);
+  EXPECT_EQ(registry->version(), 1u);
+  EXPECT_EQ(worker.accumulated_rows(), 0u);
+
+  worker.Submit(TwoClassData(2, 32));
+  worker.WaitIdle();
+  EXPECT_EQ(worker.Errors().size(), 1u);
+  EXPECT_EQ(registry->version(), 2u);
+  EXPECT_EQ(worker.accumulated_rows(), 32u);
+
+  worker.Submit(TwoClassData(3, 16));
+  worker.WaitIdle();
+  EXPECT_EQ(worker.Errors().size(), 1u);
+  EXPECT_EQ(registry->version(), 3u);
+  EXPECT_EQ(worker.retrains(), 2u);
+  EXPECT_EQ(worker.accumulated_rows(), 48u);
+}
+
+TEST(RetrainWorker, RejectsAReplaySetThatDoesNotFit) {
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->Publish(MakeModel(7));
+  nn::Dataset replay = TwoClassData(1, 8);
+  replay.labels[3] = 2;  // no class 2 in a two-class model
+  EXPECT_THROW(RetrainWorker(RetrainConfig{}, registry, replay),
+               common::CheckError);
+}
+
 // The acceptance criterion's hot-swap assertion: a model swap happens while
 // ingestion continues — no Flush-the-world pause. The retrain is gated open
 // so it is provably in flight while the service ingests and flushes.

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -43,67 +49,6 @@ TEST(Matrix, MatMulHandComputed) {
 TEST(Matrix, MatMulShapeChecked) {
   Matrix a(2, 3), b(2, 3);
   EXPECT_THROW(a.MatMul(b), common::CheckError);
-}
-
-TEST(Matrix, TransposedMatMulMatchesExplicit) {
-  common::Rng rng(1);
-  Matrix a(4, 3), b(4, 2);
-  for (double& v : a.Data()) v = rng.Normal();
-  for (double& v : b.Data()) v = rng.Normal();
-  Matrix at(3, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) at.At(j, i) = a.At(i, j);
-  }
-  const Matrix expected = at.MatMul(b);
-  const Matrix actual = a.TransposedMatMul(b);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      EXPECT_NEAR(actual.At(i, j), expected.At(i, j), 1e-12);
-    }
-  }
-}
-
-TEST(Matrix, MatMulTransposedMatchesExplicit) {
-  common::Rng rng(2);
-  Matrix a(2, 3), b(4, 3);
-  for (double& v : a.Data()) v = rng.Normal();
-  for (double& v : b.Data()) v = rng.Normal();
-  Matrix bt(3, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) bt.At(j, i) = b.At(i, j);
-  }
-  const Matrix expected = a.MatMul(bt);
-  const Matrix actual = a.MatMulTransposed(b);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(actual.At(i, j), expected.At(i, j), 1e-12);
-    }
-  }
-}
-
-TEST(Matrix, AddScaled) {
-  Matrix a(1, 2, {1.0, 2.0});
-  Matrix b(1, 2, {10.0, 20.0});
-  a.AddScaled(b, 0.5);
-  EXPECT_DOUBLE_EQ(a.At(0, 0), 6.0);
-  EXPECT_DOUBLE_EQ(a.At(0, 1), 12.0);
-}
-
-TEST(Matrix, SquaredNorm) {
-  Matrix a(1, 3, {1.0, 2.0, 2.0});
-  EXPECT_DOUBLE_EQ(a.SquaredNorm(), 9.0);
-}
-
-TEST(Matrix, StackRows) {
-  std::vector<std::vector<double>> rows = {{1, 2}, {3, 4}, {5, 6}};
-  const Matrix m = StackRows(rows);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_DOUBLE_EQ(m.At(2, 1), 6.0);
-}
-
-TEST(Matrix, StackRowsRejectsRagged) {
-  std::vector<std::vector<double>> rows = {{1, 2}, {3}};
-  EXPECT_THROW(StackRows(rows), common::CheckError);
 }
 
 TEST(Softmax, SumsToOneAndOrders) {
@@ -326,6 +271,295 @@ TEST(Trainer, DeterministicGivenSeeds) {
     return trainer.Train(mlp, data, train_rng);
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+TEST(Trainer, RejectsWeightsOfTheWrongLength) {
+  common::Rng rng(25);
+  Mlp mlp(MlpConfig{2, {}, 2}, rng);
+  Dataset data;
+  data.Add({1.0, 0.0}, 0, 0.5);
+  data.Add({0.0, 1.0}, 1);
+  data.Add({1.0, 1.0}, 1);
+  data.weights.pop_back();  // two weights for three rows
+  SoftmaxTrainer trainer(SgdConfig{});
+  common::Rng train_rng(26);
+  EXPECT_THROW(trainer.Train(mlp, data, train_rng), common::CheckError);
+  EXPECT_THROW(trainer.Loss(mlp, data), common::CheckError);
+  data.weights.assign(4, 1.0);  // four weights for three rows
+  EXPECT_THROW(trainer.Train(mlp, data, train_rng), common::CheckError);
+  EXPECT_THROW(trainer.Loss(mlp, data), common::CheckError);
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.Data().data(), b.Data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+bool SameBits(const Mlp& a, const Mlp& b) {
+  if (a.weights().size() != b.weights().size()) return false;
+  for (std::size_t l = 0; l < a.weights().size(); ++l) {
+    if (!SameBits(a.weights()[l], b.weights()[l]) ||
+        !SameBits(a.biases()[l], b.biases()[l])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Train checks every row before its first step: a bad row anywhere, even
+// the last, leaves the model exactly as it was.
+TEST(Trainer, BadRowLeavesTheModelUntouched) {
+  common::Rng rng(27);
+  const Mlp before(MlpConfig{2, {4}, 2}, rng);
+  for (int bad = 0; bad < 2; ++bad) {
+    Dataset data;
+    common::Rng data_rng(28);
+    for (int i = 0; i < 100; ++i) {
+      data.Add({data_rng.Normal(), data_rng.Normal()},
+               static_cast<std::size_t>(i % 2));
+    }
+    if (bad == 0) {
+      data.Add({1.0, 2.0, 3.0}, 0);  // one input too many
+    } else {
+      data.Add({1.0, 2.0}, 2);  // no class 2 in a two-class model
+    }
+    Mlp mlp = before;
+    SoftmaxTrainer trainer(SgdConfig{0.05, 0.9, 1e-4, 8, 3});
+    common::Rng train_rng(29);
+    EXPECT_THROW(trainer.Train(mlp, data, train_rng), common::CheckError);
+    EXPECT_TRUE(SameBits(mlp, before)) << "bad row kind " << bad;
+  }
+}
+
+// ---------------------------------------------- reference training step ---
+// SoftmaxTrainer's step before its workspace kernels: a Matrix pipeline that
+// allocated every intermediate. It is kept here, with the Matrix products
+// only it used, as the oracle the trainer must match bit for bit.
+
+/// transpose(a) * b, summing over ascending rows and skipping zeros of a.
+Matrix ReferenceTransposedMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.cols(), b.cols());
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const auto a_row = a.Row(k);
+    const auto b_row = b.Row(k);
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const double x = a_row[i];
+      if (x == 0.0) continue;
+      auto o_row = out.Row(i);
+      for (std::size_t j = 0; j < b.cols(); ++j) o_row[j] += x * b_row[j];
+    }
+  }
+  return out;
+}
+
+/// a * transpose(b), summing over ascending columns.
+Matrix ReferenceMatMulTransposed(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const auto a_row = a.Row(i);
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      const auto b_row = b.Row(j);
+      double sum = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) sum += a_row[k] * b_row[k];
+      out.At(i, j) = sum;
+    }
+  }
+  return out;
+}
+
+/// a += scale * b.
+void ReferenceAddScaled(Matrix& a, const Matrix& b, double scale) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a.Data()[i] += scale * b.Data()[i];
+  }
+}
+
+class ReferenceTrainer {
+ public:
+  explicit ReferenceTrainer(SgdConfig config) : config_(config) {}
+
+  double Train(Mlp& model, const Dataset& data, common::Rng& rng) {
+    if (data.empty()) return 0.0;
+    if (weight_velocity_.size() != model.weights().size()) {
+      weight_velocity_.clear();
+      bias_velocity_.clear();
+      for (const auto& w : model.weights()) {
+        weight_velocity_.emplace_back(w.rows(), w.cols());
+      }
+      for (const auto& b : model.biases()) {
+        bias_velocity_.emplace_back(b.rows(), b.cols());
+      }
+    }
+    std::vector<std::size_t> order(data.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    double last_epoch_loss = 0.0;
+    for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+      rng.Shuffle(order);
+      double epoch_loss = 0.0;
+      for (std::size_t start = 0; start < order.size();
+           start += config_.batch_size) {
+        const std::size_t end =
+            std::min(start + config_.batch_size, order.size());
+        epoch_loss += Step(model, data,
+                           std::span<const std::size_t>(order).subspan(
+                               start, end - start));
+      }
+      last_epoch_loss = epoch_loss / static_cast<double>(data.size());
+    }
+    return last_epoch_loss;
+  }
+
+ private:
+  static Matrix Forward(const Mlp& model, const Matrix& x,
+                        std::vector<Matrix>& activations) {
+    Matrix h = x;
+    activations.clear();
+    for (std::size_t l = 0; l < model.weights().size(); ++l) {
+      Matrix z = h.MatMul(model.weights()[l]);
+      for (std::size_t r = 0; r < z.rows(); ++r) {
+        auto row = z.Row(r);
+        const auto bias = model.biases()[l].Row(0);
+        for (std::size_t c = 0; c < row.size(); ++c) row[c] += bias[c];
+      }
+      if (l + 1 < model.weights().size()) {
+        for (double& v : z.Data()) v = std::max(0.0, v);  // ReLU
+      }
+      activations.push_back(z);
+      h = std::move(z);
+    }
+    return h;
+  }
+
+  double Step(Mlp& model, const Dataset& data,
+              std::span<const std::size_t> batch) {
+    const std::size_t n = batch.size();
+    const std::size_t num_classes = model.config().num_classes;
+
+    Matrix x(n, model.config().input_dim);
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto& f = data.features[batch[r]];
+      std::copy(f.begin(), f.end(), x.Row(r).begin());
+    }
+
+    std::vector<Matrix> activations;
+    Matrix logits = Forward(model, x, activations);
+    Matrix proba = logits;
+    SoftmaxRows(proba);
+
+    double batch_loss = 0.0;
+    Matrix dlogits(n, num_classes);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t label = data.labels[batch[r]];
+      const double w = data.weights.empty() ? 1.0 : data.weights[batch[r]];
+      const auto p = proba.Row(r);
+      batch_loss += -w * std::log(std::max(p[label], 1e-12));
+      auto d = dlogits.Row(r);
+      for (std::size_t c = 0; c < num_classes; ++c) {
+        d[c] = w * (p[c] - (c == label ? 1.0 : 0.0)) /
+               static_cast<double>(n);
+      }
+    }
+
+    const auto& weights = model.weights();
+    std::vector<Matrix> grad_w(weights.size());
+    std::vector<Matrix> grad_b(weights.size());
+    Matrix delta = std::move(dlogits);
+    for (std::size_t l = weights.size(); l-- > 0;) {
+      const Matrix& input = (l == 0) ? x : activations[l - 1];
+      grad_w[l] = ReferenceTransposedMatMul(input, delta);
+      grad_b[l] = Matrix(1, delta.cols());
+      for (std::size_t r = 0; r < delta.rows(); ++r) {
+        const auto d = delta.Row(r);
+        auto g = grad_b[l].Row(0);
+        for (std::size_t c = 0; c < d.size(); ++c) g[c] += d[c];
+      }
+      if (l > 0) {
+        Matrix next = ReferenceMatMulTransposed(delta, weights[l]);
+        const Matrix& act = activations[l - 1];
+        for (std::size_t i = 0; i < next.size(); ++i) {
+          if (act.Data()[i] <= 0.0) next.Data()[i] = 0.0;
+        }
+        delta = std::move(next);
+      }
+    }
+
+    for (std::size_t l = 0; l < weights.size(); ++l) {
+      ReferenceAddScaled(grad_w[l], model.weights()[l], config_.l2);
+      ReferenceAddScaled(weight_velocity_[l], weight_velocity_[l],
+                         config_.momentum - 1.0);
+      ReferenceAddScaled(weight_velocity_[l], grad_w[l],
+                         -config_.learning_rate);
+      ReferenceAddScaled(model.weights()[l], weight_velocity_[l], 1.0);
+
+      ReferenceAddScaled(bias_velocity_[l], bias_velocity_[l],
+                         config_.momentum - 1.0);
+      ReferenceAddScaled(bias_velocity_[l], grad_b[l],
+                         -config_.learning_rate);
+      ReferenceAddScaled(model.biases()[l], bias_velocity_[l], 1.0);
+    }
+    return batch_loss;
+  }
+
+  SgdConfig config_;
+  std::vector<Matrix> weight_velocity_;
+  std::vector<Matrix> bias_velocity_;
+};
+
+// A seeded sweep of shapes, batch sizes (dividing N or not, above N), exact
+// zero inputs, weighted and unweighted rows, and a second Train call on the
+// same trainer (velocities reused): weights, biases and both returned
+// losses must equal the reference step's bit for bit.
+TEST(Trainer, MatchesTheReferenceStepBitForBit) {
+  common::Rng sweep(2026);
+  for (int config = 0; config < 200; ++config) {
+    MlpConfig shape;
+    shape.input_dim = static_cast<std::size_t>(sweep.UniformInt(1, 12));
+    const std::int64_t hidden_layers = sweep.UniformInt(0, 2);
+    for (std::int64_t h = 0; h < hidden_layers; ++h) {
+      shape.hidden.push_back(static_cast<std::size_t>(sweep.UniformInt(1, 30)));
+    }
+    shape.num_classes = static_cast<std::size_t>(sweep.UniformInt(2, 5));
+    SgdConfig sgd;
+    sgd.learning_rate = sweep.Uniform(0.01, 0.3);
+    sgd.momentum = sweep.Uniform(0.0, 0.95);
+    sgd.l2 = sweep.Bernoulli(0.2) ? 0.0 : sweep.Uniform(0.0, 1e-3);
+    sgd.batch_size = static_cast<std::size_t>(sweep.UniformInt(1, 64));
+    sgd.epochs = static_cast<std::size_t>(sweep.UniformInt(1, 3));
+
+    const bool weighted = config % 2 == 1;
+    const auto rows = static_cast<std::size_t>(sweep.UniformInt(1, 100));
+    Dataset data;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::vector<double> f(shape.input_dim);
+      for (double& v : f) v = sweep.Bernoulli(0.2) ? 0.0 : sweep.Normal();
+      const auto label = static_cast<std::size_t>(sweep.UniformInt(
+          0, static_cast<std::int64_t>(shape.num_classes) - 1));
+      data.Add(std::move(f), label,
+               weighted ? sweep.Uniform(0.05, 2.0) : 1.0);
+    }
+
+    const Mlp initial(shape, sweep);
+    Mlp actual = initial;
+    Mlp expected = initial;
+    SoftmaxTrainer trainer(sgd);
+    ReferenceTrainer reference(sgd);
+    const std::uint64_t train_seed = sweep();
+    for (std::uint64_t call = 0; call < 2; ++call) {
+      common::Rng actual_rng(train_seed + call);
+      common::Rng expected_rng(train_seed + call);
+      const double loss = trainer.Train(actual, data, actual_rng);
+      const double expected_loss =
+          reference.Train(expected, data, expected_rng);
+      EXPECT_EQ(std::memcmp(&loss, &expected_loss, sizeof loss), 0)
+          << "config " << config << " call " << call << ": " << loss
+          << " vs " << expected_loss;
+    }
+    ASSERT_TRUE(SameBits(actual, expected))
+        << "config " << config << ": input " << shape.input_dim << ", "
+        << shape.hidden.size() << " hidden, " << shape.num_classes
+        << " classes, batch " << sgd.batch_size << ", " << rows << " rows";
+  }
 }
 
 // Parameterized sweep: accuracy improves monotonically (statistically) with
