@@ -1,6 +1,7 @@
 // Serving-runtime throughput: examples/sec of the sharded,
 // backpressure-aware serving engine (runtime/sharded_service.hpp) vs. a
-// per-example StreamingMonitor loop over the same workload. Runs, in order:
+// per-example IncrementalWindowEvaluator loop over the same workload. Runs,
+// in order:
 //
 //   * the per-example baseline, whose event count every later run must
 //     reproduce,
@@ -21,10 +22,10 @@
 //
 // The workload is synthetic but shaped like the paper's deployments: two
 // pointwise assertions plus two bounded stream-level assertions (temporal
-// radii 6 and 8) over feature-vector examples. The baseline feeds monitors
-// one example at a time (what the seed runtime supported); the runtime
-// ingests batches, so bounded-radius suffix re-scoring amortizes across the
-// batch instead of being repeated per example.
+// radii 6 and 8) over feature-vector examples. The baseline feeds one
+// evaluator per stream one example at a time; the runtime ingests batches,
+// so bounded-radius suffix re-scoring amortizes across the batch instead of
+// being repeated per example.
 //
 // Flags: `--examples N` (per stream), `--shards 1,2,4,8` and `--json PATH`
 // (default BENCH_runtime.json). Prints tables and writes machine-readable
@@ -46,7 +47,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "core/assertion.hpp"
-#include "core/monitor.hpp"
+#include "core/incremental.hpp"
 #include "obs/tracer.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/event_sink.hpp"
@@ -65,7 +66,6 @@ namespace omg::serve {
 template <>
 struct DomainTraits<Sample> {
   static constexpr std::string_view kDomain = "bench";
-  static double SeverityHint(const Sample&) { return 0.0; }
   static std::string DebugString(const Sample& sample) {
     return "bench sample " + std::to_string(sample.index);
   }
@@ -215,22 +215,27 @@ double Seconds(Clock::time_point begin, Clock::time_point end) {
   return std::chrono::duration<double>(end - begin).count();
 }
 
-/// Baseline: one StreamingMonitor per stream, fed one example at a time,
-/// round-robin across streams (the seed's only serving mode).
+/// Baseline: one IncrementalWindowEvaluator per stream, fed one example at
+/// a time, round-robin across streams, on the calling thread.
 RunResult RunBaseline(const std::vector<std::vector<Sample>>& streams) {
+  using Evaluator = core::IncrementalWindowEvaluator<Sample>;
   std::vector<core::AssertionSuite<Sample>> suites(streams.size());
-  std::vector<core::StreamingMonitor<Sample>> monitors;
-  monitors.reserve(streams.size());
+  std::vector<Evaluator> evaluators;
+  evaluators.reserve(streams.size());
   for (std::size_t s = 0; s < streams.size(); ++s) {
     PopulateSuite(suites[s]);
-    monitors.emplace_back(suites[s], kWindow, kSettleLag);
+    evaluators.emplace_back(suites[s],
+                            Evaluator::Config{kWindow, kSettleLag, {}});
   }
   RunResult result;
+  const auto count = [&result](std::size_t, std::size_t, double) {
+    ++result.events;
+  };
   const auto begin = Clock::now();
   const std::size_t n = streams.front().size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t s = 0; s < streams.size(); ++s) {
-      result.events += monitors[s].Observe(streams[s][i]).size();
+      evaluators[s].Observe(streams[s][i], count);
     }
   }
   result.seconds = Seconds(begin, Clock::now());

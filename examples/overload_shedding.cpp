@@ -50,7 +50,6 @@ namespace omg::serve {
 template <>
 struct DomainTraits<Reading> {
   static constexpr std::string_view kDomain = "sensor";
-  static double SeverityHint(const Reading& reading) { return reading.value; }
   static std::string DebugString(const Reading& reading) {
     return "reading " + std::to_string(reading.value);
   }

@@ -1,22 +1,33 @@
 // Quickstart: the OMG-C++ API in one file.
 //
-//   1. Define an Example type bundling your model's input and output.
+//   1. Define an Example type bundling your model's input and output, and
+//      give it a domain tag (a serve::DomainTraits specialization).
 //   2. Register assertions: arbitrary functions returning severity scores
 //      (0 = abstain), or a consistency assertion generated from Id/Attrs/T.
-//   3. Run the suite in batch over collected data, or stream examples
-//      through a StreamingMonitor at runtime.
+//   3. Run the suite in batch over collected data, or serve examples through
+//      a serve::Monitor at runtime.
 //
 // This file is the runnable companion of docs/ASSERTIONS.md — the guide's
-// snippets mirror the code below. For serving many streams through the
-// sharded runtime, see examples/runtime_serving.cpp and
-// docs/ARCHITECTURE.md.
+// snippets mirror the code below. It exits non-zero unless the monitor
+// flags exactly the (example, assertion) pairs the batch pass finds. For
+// many streams and domains in one runtime, see examples/runtime_serving.cpp
+// and docs/ARCHITECTURE.md.
 //
 // Build & run:  ./examples/quickstart
+#include <cmath>
 #include <iostream>
+#include <memory>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/assertion.hpp"
 #include "core/consistency_adapter.hpp"
-#include "core/monitor.hpp"
+#include "runtime/event_sink.hpp"
+#include "serve/any_suite.hpp"
+#include "serve/monitor.hpp"
 
 // A toy deployment: a classifier labels sensor readings "ok"/"alert" once
 // per second; readings also carry the raw value.
@@ -26,11 +37,24 @@ struct Reading {
   std::string label;  // the model's output
 };
 
-int main() {
-  using namespace omg;
+// The serving runtime hosts any example type that names its domain.
+template <>
+struct omg::serve::DomainTraits<Reading> {
+  static constexpr std::string_view kDomain = "sensor";
+  static std::string DebugString(const Reading& r) {
+    return "reading t=" + std::to_string(r.timestamp);
+  }
+};
 
-  core::AssertionSuite<Reading> suite;
+namespace {
 
+using namespace omg;
+
+/// Registers the three assertions on `suite` and returns the consistency
+/// analyzer (batch corrections come from it, and a live window must call
+/// its Invalidate before re-scoring).
+std::shared_ptr<core::ConsistencyAnalyzer<Reading>> AddAssertions(
+    core::AssertionSuite<Reading>& suite) {
   // (1) A custom pointwise assertion: physically impossible values.
   suite.AddPointwise("in-physical-range", [](const Reading& r) {
     return (r.value < 0.0 || r.value > 100.0) ? 1.0 : 0.0;
@@ -52,7 +76,7 @@ int main() {
   // less than 3 seconds between absences is an A -> B -> A oscillation.
   core::ConsistencyConfig config;
   config.temporal_threshold = 3.0;
-  auto analyzer = core::AddConsistencyAssertion<Reading>(
+  return core::AddConsistencyAssertion<Reading>(
       suite, config, [](std::span<const Reading> stream) {
         core::ConsistencyExtraction extraction;
         for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -66,6 +90,13 @@ int main() {
         }
         return extraction;
       });
+}
+
+}  // namespace
+
+int main() {
+  core::AssertionSuite<Reading> suite;
+  const auto analyzer = AddAssertions(suite);
 
   std::cout << "Registered assertions:";
   for (const auto& name : suite.Names()) std::cout << " " << name;
@@ -87,11 +118,13 @@ int main() {
 
   // Batch validation (e.g. over historical data).
   core::SeverityMatrix matrix = suite.CheckAll(stream);
+  std::set<std::pair<std::size_t, std::string>> batch_flags;
   std::cout << "Batch validation over " << matrix.num_examples()
             << " readings:\n";
   for (std::size_t e = 0; e < matrix.num_examples(); ++e) {
     for (std::size_t a = 0; a < matrix.num_assertions(); ++a) {
       if (matrix.Fired(e, a)) {
+        batch_flags.insert({e, suite.Names()[a]});
         std::cout << "  t=" << stream[e].timestamp << "  "
                   << suite.Names()[a] << " fired (severity "
                   << matrix.At(e, a) << ")\n";
@@ -109,20 +142,56 @@ int main() {
               << correction.identifier << "\n";
   }
 
-  // Runtime monitoring: the same suite, streaming, with a callback. The
-  // consistency analyzer memoises per window buffer, so the monitor gets
-  // its Invalidate as the invalidation hook.
-  std::cout << "\nStreaming monitor replay:\n";
-  core::StreamingMonitor<Reading> monitor(
-      suite, /*window=*/8, /*settle_lag=*/2,
-      [&analyzer] { analyzer->Invalidate(); });
-  monitor.OnEvent([](const core::MonitorEvent& event) {
+  // Runtime monitoring: the same assertions, served live. Each stream gets
+  // its own suite from a factory; a verdict is emitted once the reading is
+  // `settle_lag` readings old, so retroactive assertions have settled.
+  serve::Result<std::unique_ptr<serve::Monitor>> built =
+      serve::Monitor::Builder().Shards(1).Window(8).SettleLag(2).Build();
+  if (!built.ok()) {
+    std::cerr << "monitor: " << built.error().message << "\n";
+    return 1;
+  }
+  const std::unique_ptr<serve::Monitor> monitor = std::move(built.value());
+  auto events = std::make_shared<runtime::CollectingSink>();
+  const serve::Subscription subscription = monitor->Subscribe({}, events);
+  const serve::Result<serve::StreamHandle> handle = monitor->RegisterStream(
+      "sensor", serve::EraseSuiteFactory<Reading>("sensor", [] {
+        auto live = std::make_shared<core::AssertionSuite<Reading>>();
+        auto live_analyzer = AddAssertions(*live);
+        return runtime::SuiteBundle<Reading>{
+            live, [live_analyzer] { live_analyzer->Invalidate(); }};
+      }));
+  if (!handle.ok()) {
+    std::cerr << "register: " << handle.error().message << "\n";
+    return 1;
+  }
+  for (const Reading& reading : stream) {
+    if (!monitor->Observe(handle.value(), serve::AnyExample::Make(reading))
+             .ok()) {
+      std::cerr << "observe failed at t=" << reading.timestamp << "\n";
+      return 1;
+    }
+  }
+  monitor->Flush();
+
+  std::cout << "\nLive monitor:\n";
+  const auto fired = events->Events();
+  std::set<std::pair<std::size_t, std::string>> live_flags;
+  for (const auto& event : fired) {
+    live_flags.insert({event.example_index,
+                       std::string(serve::UnqualifiedName(event.assertion))});
     std::cout << "  [runtime] example " << event.example_index << ": "
               << event.assertion << " severity " << event.severity << "\n";
-  });
-  for (const auto& reading : stream) monitor.Observe(reading);
-  std::cout << "\nMonitor saw " << monitor.stats().examples_seen
-            << " examples, emitted " << monitor.stats().events_emitted
-            << " events.\n";
+  }
+  std::cout << "\nMonitor saw " << monitor->Metrics().examples_seen
+            << " examples, emitted " << fired.size() << " events.\n";
+
+  if (live_flags != batch_flags) {
+    std::cerr << "live flags differ from the batch pass: " << live_flags.size()
+              << " live vs " << batch_flags.size() << " batch\n";
+    return 1;
+  }
+  std::cout << "Live and batch agree on all " << batch_flags.size()
+            << " flagged (example, assertion) pairs.\n";
   return 0;
 }

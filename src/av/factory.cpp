@@ -1,6 +1,5 @@
 #include "av/factory.hpp"
 
-#include <cstddef>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -10,14 +9,6 @@
 #include "video/assertions.hpp"
 
 namespace omg::serve {
-
-double DomainTraits<av::AvExample>::SeverityHint(
-    const av::AvExample& example) {
-  const std::size_t camera = example.camera.size();
-  const std::size_t lidar = example.lidar_projected.size();
-  return static_cast<double>(camera > lidar ? camera - lidar
-                                            : lidar - camera);
-}
 
 std::string DomainTraits<av::AvExample>::DebugString(
     const av::AvExample& example) {

@@ -16,12 +16,10 @@
 
 namespace omg::serve {
 
-/// Facade identity of AvExample: domain tag "av"; the severity hint is the
-/// camera-vs-LIDAR detection-count gap (a cheap disagreement proxy).
+/// Facade identity of AvExample: domain tag "av".
 template <>
 struct DomainTraits<av::AvExample> {
   static constexpr std::string_view kDomain = "av";
-  static double SeverityHint(const av::AvExample& example);
   static std::string DebugString(const av::AvExample& example);
 };
 

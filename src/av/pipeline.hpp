@@ -79,7 +79,6 @@ class AvPipeline final : public bandit::ActiveLearningProblem {
   // --- direct access ---
   const AvPipelineConfig& config() const { return config_; }
   const std::vector<AvSample>& pool() const { return pool_; }
-  const std::vector<AvSample>& test() const { return test_; }
   CameraDetector& detector() { return *detector_; }
   AvSuite& suite() { return suite_; }
   const nn::Dataset& pretrain_set() const { return pretrain_set_; }

@@ -84,8 +84,6 @@ class AvWorld {
  public:
   AvWorld(AvWorldConfig config, std::uint64_t seed);
 
-  const AvWorldConfig& config() const { return config_; }
-
   /// Generates `count` complete scenes (count * samples_per_scene samples).
   std::vector<AvSample> GenerateScenes(std::size_t count);
 

@@ -43,7 +43,10 @@ std::int64_t Flags::GetInt(const std::string& name,
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   try {
-    return std::stoll(it->second);
+    std::size_t used = 0;
+    const std::int64_t value = std::stoll(it->second, &used);
+    if (used != it->second.size()) throw std::invalid_argument(it->second);
+    return value;
   } catch (const std::exception&) {
     throw CheckError("flag --" + name + " is not an integer: " + it->second);
   }
@@ -53,7 +56,10 @@ double Flags::GetDouble(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   try {
-    return std::stod(it->second);
+    std::size_t used = 0;
+    const double value = std::stod(it->second, &used);
+    if (used != it->second.size()) throw std::invalid_argument(it->second);
+    return value;
   } catch (const std::exception&) {
     throw CheckError("flag --" + name + " is not a number: " + it->second);
   }
@@ -93,13 +99,6 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
 
 bool Flags::Has(const std::string& name) const {
   return values_.contains(name);
-}
-
-std::vector<std::string> Flags::Names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [name, _] : values_) names.push_back(name);
-  return names;
 }
 
 void Flags::CheckAllowed(const std::vector<std::string>& allowed) const {

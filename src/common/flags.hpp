@@ -36,9 +36,6 @@ class Flags {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& Positional() const { return positional_; }
 
-  /// Names of all flags that were provided (used to reject unknown flags).
-  std::vector<std::string> Names() const;
-
   /// Throws unless every provided flag name is in `allowed`.
   void CheckAllowed(const std::vector<std::string>& allowed) const;
 

@@ -47,9 +47,6 @@ class OMG_CAPABILITY("mutex") Mutex {
   /// Releases the mutex (must be held by this thread).
   void Unlock() OMG_RELEASE() { mu_.unlock(); }
 
-  /// Acquires the mutex iff it was free; returns whether it was acquired.
-  bool TryLock() OMG_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
   /// Tells the static analysis the mutex is held here without acquiring
   /// it — the escape hatch for capabilities that are provably held via an
   /// alias the analysis cannot name (e.g. the claimed-stream protocol,
@@ -62,8 +59,8 @@ class OMG_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// RAII scope holding an omg::Mutex. Supports early release (Unlock) and
-/// re-acquisition (Lock) so wait-then-bail admission paths stay scoped.
+/// RAII scope holding an omg::Mutex. Supports early release (Unlock) so
+/// wait-then-bail admission paths stay scoped.
 class OMG_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) OMG_ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
@@ -79,12 +76,6 @@ class OMG_SCOPED_CAPABILITY MutexLock {
   void Unlock() OMG_RELEASE() {
     mu_.Unlock();
     held_ = false;
-  }
-
-  /// Re-acquires after an early Unlock().
-  void Lock() OMG_ACQUIRE() {
-    mu_.Lock();
-    held_ = true;
   }
 
  private:

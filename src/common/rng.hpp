@@ -15,20 +15,14 @@ namespace omg::common {
 /// SplitMix64 step: used to expand a single 64-bit seed into generator state.
 std::uint64_t SplitMix64(std::uint64_t& state);
 
-/// Deterministic pseudo-random generator (xoshiro256**).
-///
-/// Satisfies UniformRandomBitGenerator, so it can also be used with the
-/// standard <random> distributions, though the member helpers below are
-/// preferred because their results are identical across platforms.
+/// Deterministic pseudo-random generator (xoshiro256**). Use the member
+/// helpers below: their results are identical across platforms.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
   /// Constructs a generator from a 64-bit seed.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
 
   /// Next raw 64-bit value.
   result_type operator()();

@@ -215,13 +215,6 @@ SpecSection::SpecSection(std::string source, std::string kind,
       line_(line),
       col_(col) {}
 
-std::vector<std::string> SpecSection::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(entries_.size());
-  for (const auto& entry : entries_) keys.push_back(entry.key);
-  return keys;
-}
-
 bool SpecSection::Has(const std::string& key) const {
   return Find(key) != nullptr;
 }
@@ -327,11 +320,6 @@ std::vector<std::string> SpecSection::GetStringList(
 std::string SpecSection::RequireString(const std::string& key) const {
   Require(key);
   return GetString(key, "");
-}
-
-std::int64_t SpecSection::RequireInt(const std::string& key) const {
-  Require(key);
-  return GetInt(key, 0);
 }
 
 std::size_t SpecSection::GetSize(const std::string& key,

@@ -104,15 +104,9 @@ class SpecSection {
   const std::string& label() const { return label_; }
   /// Source name the section was parsed from (for error messages).
   const std::string& source() const { return source_; }
-  /// 1-based header line.
-  std::size_t line() const { return line_; }
-  /// 1-based header column.
-  std::size_t col() const { return col_; }
 
   /// Entries in file order.
   const std::vector<SpecEntry>& entries() const { return entries_; }
-  /// All keys, in file order.
-  std::vector<std::string> Keys() const;
   /// True when the key is present.
   bool Has(const std::string& key) const;
   /// The raw value of `key`, or nullptr when absent (does not consume).
@@ -130,7 +124,6 @@ class SpecSection {
 
   // Required variants: throw SpecError at the section header when absent.
   std::string RequireString(const std::string& key) const;
-  std::int64_t RequireInt(const std::string& key) const;
 
   /// GetInt + a >= 0 check, converted to size_t (queue sizes, counts...).
   std::size_t GetSize(const std::string& key, std::size_t fallback) const;

@@ -8,8 +8,9 @@
 // return one severity per example. This batch form matches how the paper
 // uses assertions (data is collected, then validated / selected in bulk) and
 // lets temporal assertions such as `flicker` score an example retroactively
-// once later frames arrive. `core/monitor.hpp` adapts the batch form to
-// streaming runtime monitoring with a sliding window.
+// once later frames arrive. `core/incremental.hpp` adapts the batch form to
+// a sliding window, which `serve::Monitor` runs per stream for runtime
+// monitoring.
 #pragma once
 
 #include <cstddef>

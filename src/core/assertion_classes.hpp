@@ -87,11 +87,6 @@ class InputSchema {
     return violations;
   }
 
-  std::size_t dimension() const { return dimension_; }
-  const std::vector<FieldConstraint>& constraints() const {
-    return constraints_;
-  }
-
  private:
   std::size_t dimension_ = 0;
   std::vector<FieldConstraint> constraints_;

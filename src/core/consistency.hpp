@@ -110,8 +110,6 @@ class ConsistencyEngine {
  public:
   explicit ConsistencyEngine(ConsistencyConfig config);
 
-  const ConsistencyConfig& config() const { return config_; }
-
   /// Names of the assertions this engine generates, in column order: one
   /// "consistent:<key>" per configured key, then "flicker" and "appear"
   /// when T > 0.

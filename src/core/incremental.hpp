@@ -1,9 +1,9 @@
 // Incremental sliding-window evaluation of an AssertionSuite.
 //
-// The seed's StreamingMonitor re-ran every assertion over the whole window
-// on every Observe — O(window * suite) per example. This evaluator instead
-// exploits each assertion's declared `temporal_radius` r (severity of
-// example i depends only on examples [i - r, i + r]):
+// Re-running every assertion over the whole window on every example costs
+// O(window * suite) per example. This evaluator instead exploits each
+// assertion's declared `temporal_radius` r (severity of example i depends
+// only on examples [i - r, i + r]):
 //
 //   * pointwise assertions (r = 0) score only the newly arrived examples —
 //     O(1) amortized per example;
@@ -14,13 +14,13 @@
 //     identifiers across the stream) fall back to full-window
 //     re-evaluation, once per ingested chunk instead of once per example.
 //
-// Emission contract (the seed monitor's): each (example, assertion) firing
-// is emitted exactly once, in stream order — normally when the example
-// becomes `settle_lag` steps old. The emitted severity is final provided
-// settle_lag >= the assertion's radius. A firing that only *appears* in a
-// later re-evaluation (an unbounded assertion needing more right context,
-// or a bounded one with settle_lag < radius) is emitted as soon as it
-// appears, like the seed's per-step re-scan did.
+// Emission contract: each (example, assertion) firing is emitted exactly
+// once, in stream order — normally when the example becomes `settle_lag`
+// steps old. The emitted severity is final provided settle_lag >= the
+// assertion's radius. A firing that only *appears* in a later re-evaluation
+// (an unbounded assertion needing more right context, or a bounded one with
+// settle_lag < radius) is emitted as soon as it appears, like a per-example
+// re-scan of the whole window would.
 #pragma once
 
 #include <algorithm>
@@ -40,8 +40,7 @@ namespace omg::core {
 /// Incremental evaluator over one stream's sliding window.
 ///
 /// Not thread-safe: the serving runtime (runtime/sharded_service.hpp) lets
-/// at most one shard worker drive a stream's evaluator at a time;
-/// standalone users (StreamingMonitor) are single-threaded.
+/// at most one shard worker drive a stream's evaluator at a time.
 template <typename Example>
 class IncrementalWindowEvaluator {
  public:

@@ -51,13 +51,4 @@ std::string RenderSummaries(
   return table.ToString();
 }
 
-std::string RenderMonitorStats(const MonitorStats& stats) {
-  common::TextTable table({"Assertion", "Events", "Max severity"});
-  for (const auto& [name, count] : stats.fire_counts) {
-    table.AddRow({name, std::to_string(count),
-                  common::FormatDouble(stats.max_severity.at(name), 2)});
-  }
-  return table.ToString();
-}
-
 }  // namespace omg::core

@@ -1,12 +1,10 @@
 // Human-readable summaries of assertion results — the "populate a
-// dashboard" use of §2.3. Renders severity matrices and monitor statistics
-// as aligned tables.
+// dashboard" use of §2.3. Renders severity matrices as aligned tables.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/monitor.hpp"
 #include "core/severity_matrix.hpp"
 
 namespace omg::core {
@@ -26,8 +24,5 @@ std::vector<AssertionSummary> Summarize(
 
 /// Renders summaries as an aligned text table.
 std::string RenderSummaries(const std::vector<AssertionSummary>& summaries);
-
-/// Renders streaming-monitor statistics as an aligned text table.
-std::string RenderMonitorStats(const MonitorStats& stats);
 
 }  // namespace omg::core

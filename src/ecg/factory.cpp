@@ -12,11 +12,6 @@
 
 namespace omg::serve {
 
-double DomainTraits<ecg::EcgExample>::SeverityHint(
-    const ecg::EcgExample& example) {
-  return example.predicted == ecg::Rhythm::kNormal ? 0.0 : 1.0;
-}
-
 std::string DomainTraits<ecg::EcgExample>::DebugString(
     const ecg::EcgExample& example) {
   return "ecg record " + example.record + " @" +

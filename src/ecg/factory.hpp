@@ -16,13 +16,10 @@
 
 namespace omg::serve {
 
-/// Facade identity of EcgExample: domain tag "ecg"; the severity hint is 1
-/// for an abnormal-rhythm prediction (AF / other), 0 for normal — the
-/// importance signal a ward-level producer has before any scoring.
+/// Facade identity of EcgExample: domain tag "ecg".
 template <>
 struct DomainTraits<ecg::EcgExample> {
   static constexpr std::string_view kDomain = "ecg";
-  static double SeverityHint(const ecg::EcgExample& example);
   static std::string DebugString(const ecg::EcgExample& example);
 };
 

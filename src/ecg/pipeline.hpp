@@ -41,7 +41,6 @@ class EcgPipeline final : public bandit::ActiveLearningProblem {
   // --- direct access ---
   const EcgPipelineConfig& config() const { return config_; }
   const std::vector<EcgWindow>& pool() const { return pool_; }
-  const std::vector<EcgWindow>& test() const { return test_; }
   EcgClassifier& classifier() { return *classifier_; }
   EcgSuite& suite() { return suite_; }
   const nn::Dataset& pretrain_set() const { return pretrain_set_; }

@@ -145,9 +145,4 @@ MatchResult MatchFrame(const FrameEval& frame, double iou_threshold) {
   return result;
 }
 
-std::vector<bool> MatchDetections(const FrameEval& frame,
-                                  double iou_threshold) {
-  return MatchFrame(frame, iou_threshold).detection_correct;
-}
-
 }  // namespace omg::eval

@@ -62,8 +62,4 @@ struct MatchResult {
 /// confidence order.
 MatchResult MatchFrame(const FrameEval& frame, double iou_threshold = 0.5);
 
-/// Per-detection correctness only (convenience wrapper over MatchFrame).
-std::vector<bool> MatchDetections(const FrameEval& frame,
-                                  double iou_threshold = 0.5);
-
 }  // namespace omg::eval

@@ -64,12 +64,6 @@ class FlagCollectorSink final : public runtime::EventSink {
   /// Events whose assertion name had no registered column.
   std::size_t unknown_events() const;
 
-  /// The column order the store was configured with.
-  const std::vector<std::string>& assertion_names() const { return names_; }
-
-  /// The collector's configuration.
-  const FlagCollectorConfig& config() const { return config_; }
-
  private:
   std::shared_ptr<FlagStore> store_;
   std::vector<std::string> names_;

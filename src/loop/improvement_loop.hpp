@@ -69,12 +69,6 @@ class ImprovementLoop {
 
   /// The hot-swap registry serving reads its model handles from.
   ModelRegistry& registry() { return *registry_; }
-  /// The live candidate pool the collector fills.
-  FlagStore& store() { return *store_; }
-  /// The round driver.
-  RoundScheduler& scheduler() { return *scheduler_; }
-  /// The background fine-tuner publishing new versions.
-  RetrainWorker& retrainer() { return *retrain_; }
 
   /// One synchronous select -> label -> submit-for-retrain round.
   std::optional<RoundStats> RunRound() { return scheduler_->RunRound(); }

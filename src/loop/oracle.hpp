@@ -79,9 +79,6 @@ class WeakLabelOracle final : public LabelOracle {
   std::string Name() const override { return "weak-consistency"; }
   LabelBatch Label(std::span<const CandidateKey> keys) override;
 
-  /// The weight every proposed row is scaled by.
-  double weak_weight() const { return weak_weight_; }
-
  private:
   ProposeFn propose_;
   double weak_weight_;

@@ -78,11 +78,6 @@ class RoundScheduler {
   /// Completed rounds, in order.
   std::vector<RoundStats> History() const;
 
-  /// The strategy rounds run (exposed for per-round inspection in benches).
-  bandit::SelectionStrategy& strategy() { return *strategy_; }
-  /// The round parameters this scheduler was built with.
-  const RoundConfig& config() const { return config_; }
-
  private:
   RoundConfig config_;
   std::shared_ptr<FlagStore> store_;

@@ -15,7 +15,7 @@ namespace {
 /// bytewise table, and kCrcTables[k][b] is the CRC of byte b followed by k
 /// zero bytes, so one lookup per byte of an 8-byte word advances the CRC
 /// by the whole word.
-constexpr std::array<std::array<std::uint32_t, 256>, 8> MakeCrcTables() {
+consteval std::array<std::array<std::uint32_t, 256>, 8> MakeCrcTables() {
   std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;

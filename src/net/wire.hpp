@@ -139,7 +139,6 @@ class WireWriter {
 
   std::span<const std::uint8_t> bytes() const { return buffer_; }
   std::vector<std::uint8_t>& buffer() { return buffer_; }
-  std::size_t size() const { return buffer_.size(); }
 
  private:
   std::vector<std::uint8_t> buffer_;

@@ -23,14 +23,6 @@ double& Matrix::At(std::size_t r, std::size_t c) {
   return data_[r * cols_ + c];
 }
 
-double Matrix::At(std::size_t r, std::size_t c) const {
-  CheckIndex(static_cast<std::ptrdiff_t>(r), 0,
-             static_cast<std::ptrdiff_t>(rows_), "Matrix row");
-  CheckIndex(static_cast<std::ptrdiff_t>(c), 0,
-             static_cast<std::ptrdiff_t>(cols_), "Matrix col");
-  return data_[r * cols_ + c];
-}
-
 std::span<double> Matrix::Row(std::size_t r) {
   CheckIndex(static_cast<std::ptrdiff_t>(r), 0,
              static_cast<std::ptrdiff_t>(rows_), "Matrix row");

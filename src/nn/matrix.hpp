@@ -35,7 +35,6 @@ class Matrix {
   std::size_t size() const { return data_.size(); }
 
   double& At(std::size_t r, std::size_t c);
-  double At(std::size_t r, std::size_t c) const;
 
   /// View of row `r`.
   std::span<double> Row(std::size_t r);

@@ -87,8 +87,6 @@ class MetricsExporter {
   /// calls). Thread-safe. Returns the number of exports performed so far.
   std::size_t ExportOnce();
 
-  const MetricsExporterOptions& options() const { return options_; }
-
  private:
   /// Thread body; `stop` is the run's own stop token (see stop_).
   void Run(std::shared_ptr<bool> stop);

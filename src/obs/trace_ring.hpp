@@ -39,9 +39,6 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  /// Slot count after rounding.
-  std::size_t capacity() const { return slots_.size(); }
-
   /// Events ever pushed (monotonic; drained + evicted + pending == recorded).
   std::uint64_t recorded() const {
     return head_.load(std::memory_order_acquire);

@@ -13,12 +13,6 @@ std::size_t TraceSnapshot::TotalEvents() const {
   return total;
 }
 
-std::size_t TraceSnapshot::TotalEvicted() const {
-  std::size_t total = 0;
-  for (const LaneTrace& lane : lanes) total += lane.evicted;
-  return total;
-}
-
 Tracer::Tracer(TracerOptions options)
     : options_(options),
       enabled_(options.enabled),

@@ -60,8 +60,6 @@ struct TraceSnapshot {
 
   /// Sum of events across lanes.
   std::size_t TotalEvents() const;
-  /// Sum of evictions across lanes.
-  std::size_t TotalEvicted() const;
 };
 
 /// See the file comment. Emit paths are wait-free (shard lanes) or take one
@@ -73,7 +71,6 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  const TracerOptions& options() const { return options_; }
   std::size_t shard_lanes() const { return shard_rings_.size(); }
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

@@ -44,11 +44,6 @@ std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes) {
   return hash;
 }
 
-std::uint64_t Fnv1a64(std::string_view text) {
-  return Fnv1a64(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
 serve::Result<std::uint64_t> HashFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {

@@ -58,7 +58,6 @@ inline constexpr std::uint32_t kTraceFormatVersion = 1;
 /// 0x100000001b3) — the digest used for scenario hashes and golden flag
 /// digests. Stable across platforms; not cryptographic.
 std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes);
-std::uint64_t Fnv1a64(std::string_view text);
 
 /// FNV-1a 64 of a file's bytes (what TraceInfo::scenario_hash holds for
 /// the scenario config); kIoError when the file cannot be read.

@@ -34,19 +34,6 @@ double CountingSink::max_severity() const {
   return max_severity_;
 }
 
-LoggingSink::LoggingSink(std::ostream& out) : out_(out) {}
-
-void LoggingSink::Consume(const StreamEvent& event) {
-  MutexLock lock(mutex_);
-  out_ << "[" << event.stream << " #" << event.example_index << "] "
-       << event.assertion << " severity " << event.severity << "\n";
-}
-
-void LoggingSink::Flush() {
-  MutexLock lock(mutex_);
-  out_.flush();
-}
-
 JsonLinesSink::JsonLinesSink(std::ostream& out) : out_(out) {}
 
 void JsonLinesSink::Consume(const StreamEvent& event) {

@@ -1,10 +1,10 @@
 // Pluggable event sinks for the assertion-serving runtime.
 //
-// The seed's `StreamingMonitor` exposed raw callbacks; at serving scale the
-// runtime instead fans every assertion firing out to `EventSink` objects —
-// counting for alerting thresholds, logging for operators, JSON-lines for
-// downstream ingestion (dashboards, weak-supervision pipelines). One sink
-// set serves every registered stream, so events carry the stream identity.
+// The serving runtime fans every assertion firing out to `EventSink`
+// objects — counting for alerting thresholds, JSON-lines for downstream
+// ingestion (dashboards, weak-supervision pipelines), collecting for tests
+// and small replays. One sink set serves every registered stream, so events
+// carry the stream identity.
 #pragma once
 
 #include <cstddef>
@@ -75,20 +75,6 @@ class CountingSink final : public EventSink {
   /// materialising a std::string per event on the hot path.
   std::map<std::string, std::size_t, std::less<>> by_assertion_
       OMG_GUARDED_BY(mutex_);
-};
-
-/// Writes one human-readable line per event.
-class LoggingSink final : public EventSink {
- public:
-  /// Writes to `out`, which must outlive the sink.
-  explicit LoggingSink(std::ostream& out);
-
-  void Consume(const StreamEvent& event) override;
-  void Flush() override;
-
- private:
-  Mutex mutex_;
-  std::ostream& out_;
 };
 
 /// Writes one JSON object per line per event:

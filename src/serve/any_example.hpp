@@ -12,9 +12,9 @@
 //     (sized so all four shipped domains fit) live inside the holder — no
 //     allocation on the wrap path; larger types go to the heap;
 //   * a per-domain vtable built from a `DomainTraits<T>` specialization:
-//     the domain tag plus clone / severity-hint / debug-string hooks. The
-//     vtable is a function-local static, so holder identity checks are
-//     single pointer compares — no RTTI on the hot path.
+//     the domain tag plus clone / destroy / debug-string hooks. The vtable
+//     is a function-local static, so holder identity checks are single
+//     pointer compares — no RTTI on the hot path.
 //
 // Registering a new domain is one `DomainTraits` specialization; see
 // src/video/factory.hpp for the pattern.
@@ -40,8 +40,6 @@ namespace omg::serve {
 ///   template <> struct omg::serve::DomainTraits<MyExample> {
 ///     /// Stable domain tag; qualifies assertion names ("<domain>/<name>").
 ///     static constexpr std::string_view kDomain = "mydomain";
-///     /// Producer-side importance estimate (admission severity hints).
-///     static double SeverityHint(const MyExample&);
 ///     /// One-line human-readable rendering (diagnostics, typed errors).
 ///     static std::string DebugString(const MyExample&);
 ///   };
@@ -179,12 +177,6 @@ class AnyExample {
   /// compares with a pointer compare; nullptr for an empty holder.
   const void* TypeKey() const { return vtable_; }
 
-  /// The domain's producer-side importance estimate for this example
-  /// (0 for an empty holder) — feeds admission severity hints.
-  double SeverityHint() const {
-    return vtable_ != nullptr ? vtable_->severity_hint(raw()) : 0.0;
-  }
-
   /// One-line human-readable rendering ("<empty>" for an empty holder).
   std::string DebugString() const {
     return vtable_ != nullptr ? vtable_->debug_string(raw()) : "<empty>";
@@ -206,7 +198,6 @@ class AnyExample {
     void (*relocate)(AnyExample& src, AnyExample& dst) noexcept;
     /// Copy-constructs src's payload into dst's (raw) storage.
     void (*clone_into)(const AnyExample& src, AnyExample& dst);
-    double (*severity_hint)(const void*);
     std::string (*debug_string)(const void*);
   };
 
@@ -263,10 +254,6 @@ class AnyExample {
       }
     }
 
-    static double SeverityHint(const void* payload) {
-      return DomainTraits<T>::SeverityHint(*static_cast<const T*>(payload));
-    }
-
     static std::string DebugString(const void* payload) {
       return DomainTraits<T>::DebugString(*static_cast<const T*>(payload));
     }
@@ -285,7 +272,6 @@ class AnyExample {
                                      &Ops<T>::Destroy,
                                      &Ops<T>::Relocate,
                                      &Ops<T>::CloneInto,
-                                     &Ops<T>::SeverityHint,
                                      &Ops<T>::DebugString};
 
   template <typename T>

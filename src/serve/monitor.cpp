@@ -9,33 +9,6 @@
 
 namespace omg::serve {
 
-std::string_view ErrorCodeName(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kInvalidConfig: return "invalid_config";
-    case ErrorCode::kInvalidHandle: return "invalid_handle";
-    case ErrorCode::kWrongDomain: return "wrong_domain";
-    case ErrorCode::kDuplicateStream: return "duplicate_stream";
-    case ErrorCode::kInvalidSuite: return "invalid_suite";
-    case ErrorCode::kBatchTooLarge: return "batch_too_large";
-    case ErrorCode::kInvalidArgument: return "invalid_argument";
-    case ErrorCode::kTruncatedFrame: return "truncated_frame";
-    case ErrorCode::kBadMagic: return "bad_magic";
-    case ErrorCode::kBadVersion: return "bad_version";
-    case ErrorCode::kOversizedFrame: return "oversized_frame";
-    case ErrorCode::kCrcMismatch: return "crc_mismatch";
-    case ErrorCode::kUnknownFrameType: return "unknown_frame_type";
-    case ErrorCode::kUnknownDomain: return "unknown_domain";
-    case ErrorCode::kMalformedPayload: return "malformed_payload";
-    case ErrorCode::kUnknownTenant: return "unknown_tenant";
-    case ErrorCode::kAuthFailed: return "auth_failed";
-    case ErrorCode::kNotAuthenticated: return "not_authenticated";
-    case ErrorCode::kUnknownStream: return "unknown_stream";
-    case ErrorCode::kQuotaExceeded: return "quota_exceeded";
-    case ErrorCode::kIoError: return "io_error";
-  }
-  return "?";
-}
-
 bool EventFilter::Matches(const runtime::StreamEvent& event) const {
   if (event.severity < min_severity) return false;
   if (!stream.empty() && event.stream != stream) return false;
@@ -184,16 +157,6 @@ Monitor::Builder& Monitor::Builder::Admission(
 
 Monitor::Builder& Monitor::Builder::ShedFloor(double floor) {
   config_.shed_floor = floor;
-  return *this;
-}
-
-Monitor::Builder& Monitor::Builder::Stealing(bool stealing) {
-  config_.stealing = stealing;
-  return *this;
-}
-
-Monitor::Builder& Monitor::Builder::LatencyTargetMs(double target_ms) {
-  config_.latency_target_ms = target_ms;
   return *this;
 }
 
@@ -405,10 +368,6 @@ std::vector<std::string> Monitor::Errors() const {
 
 const runtime::ShardedRuntimeConfig& Monitor::config() const {
   return service_->config();
-}
-
-const runtime::StreamRegistry& Monitor::streams() const {
-  return service_->registry();
 }
 
 std::shared_ptr<obs::Tracer> Monitor::tracer() const {

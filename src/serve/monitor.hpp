@@ -178,10 +178,6 @@ class Monitor {
     Builder& Admission(runtime::AdmissionPolicy policy);
     /// Severity floor for kShedBelowSeverity / kLatencyTarget admission.
     Builder& ShedFloor(double floor);
-    /// Enables (default) or disables work stealing between shard workers.
-    Builder& Stealing(bool stealing);
-    /// p99 SLO for kLatencyTarget admission, in milliseconds.
-    Builder& LatencyTargetMs(double target_ms);
     /// Attaches an observability tracer: per-shard trace lanes with
     /// `options.ring_capacity` slots and 1-in-`options.sample_every` batch
     /// sampling (options.shard_lanes is overridden to the shard count).
@@ -261,9 +257,6 @@ class Monitor {
 
   /// The validated runtime geometry.
   const runtime::ShardedRuntimeConfig& config() const;
-
-  /// Stream name <-> id registry (names outlive the Monitor's streams).
-  const runtime::StreamRegistry& streams() const;
 
   /// The attached tracer (null unless built with Builder::Trace or a
   /// config whose tracer field was set).

@@ -73,9 +73,6 @@ enum class ErrorCode {
   kIoError,
 };
 
-/// Human-readable code name ("invalid_config", "wrong_domain", ...).
-std::string_view ErrorCodeName(ErrorCode code);
-
 /// One facade failure: a stable code plus a diagnostic message.
 struct Error {
   ErrorCode code = ErrorCode::kInvalidArgument;

@@ -12,11 +12,6 @@
 
 namespace omg::serve {
 
-double DomainTraits<tvnews::NewsFrame>::SeverityHint(
-    const tvnews::NewsFrame& frame) {
-  return static_cast<double>(frame.faces.size());
-}
-
 std::string DomainTraits<tvnews::NewsFrame>::DebugString(
     const tvnews::NewsFrame& frame) {
   return "tvnews frame " + std::to_string(frame.index) + " @" +

@@ -16,12 +16,10 @@
 
 namespace omg::serve {
 
-/// Facade identity of NewsFrame: domain tag "tvnews"; the severity hint is
-/// the frame's face count (more faces, more attribute pairs to get wrong).
+/// Facade identity of NewsFrame: domain tag "tvnews".
 template <>
 struct DomainTraits<tvnews::NewsFrame> {
   static constexpr std::string_view kDomain = "tvnews";
-  static double SeverityHint(const tvnews::NewsFrame& frame);
   static std::string DebugString(const tvnews::NewsFrame& frame);
 };
 

@@ -67,8 +67,6 @@ class NewsGenerator {
  public:
   NewsGenerator(NewsConfig config, std::uint64_t seed);
 
-  const NewsConfig& config() const { return config_; }
-
   /// Generates `frames` sampled frames across consecutive scenes.
   std::vector<NewsFrame> Generate(std::size_t frames);
 

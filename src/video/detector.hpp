@@ -59,7 +59,6 @@ class SsdDetector {
   void SetModel(nn::Mlp model);
 
   const nn::Mlp& model() const { return model_; }
-  const DetectorConfig& config() const { return config_; }
 
  private:
   std::vector<geometry::Detection> DetectWithThreshold(

@@ -12,11 +12,6 @@
 
 namespace omg::serve {
 
-double DomainTraits<video::VideoExample>::SeverityHint(
-    const video::VideoExample& example) {
-  return static_cast<double>(example.detections.size());
-}
-
 std::string DomainTraits<video::VideoExample>::DebugString(
     const video::VideoExample& example) {
   return "video frame " + std::to_string(example.frame_index) + " @" +

@@ -19,13 +19,10 @@
 
 namespace omg::serve {
 
-/// Facade identity of VideoExample: domain tag "video"; the severity hint
-/// is the frame's detection count (a cheap crowding proxy an upstream
-/// producer could compute without scoring).
+/// Facade identity of VideoExample: domain tag "video".
 template <>
 struct DomainTraits<video::VideoExample> {
   static constexpr std::string_view kDomain = "video";
-  static double SeverityHint(const video::VideoExample& example);
   static std::string DebugString(const video::VideoExample& example);
 };
 

@@ -48,7 +48,6 @@ class VideoPipeline final : public bandit::ActiveLearningProblem {
   // --- direct access for experiments ---
   const VideoPipelineConfig& config() const { return config_; }
   const std::vector<Frame>& pool() const { return pool_; }
-  const std::vector<Frame>& test() const { return test_; }
   SsdDetector& detector() { return *detector_; }
   VideoSuite& suite() { return suite_; }
   const nn::Dataset& pretrain_set() const { return pretrain_set_; }

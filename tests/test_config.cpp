@@ -5,6 +5,8 @@
 // exactly like the equivalent programmatically-built suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -197,6 +199,11 @@ budget = 12
 rounds = 3
 weak_weight = 0.5
 retrain_epochs = 9
+
+[replay]
+trace_path = "full.trace"
+speed = 0.5
+record_eps = 2000
 )";
 
 TEST(ConfigLoader, LoadsAFullScenario) {
@@ -235,6 +242,10 @@ TEST(ConfigLoader, LoadsAFullScenario) {
   EXPECT_EQ(scenario.loop.oracle, "mixed");
   EXPECT_EQ(scenario.loop.budget, 12u);
   EXPECT_EQ(scenario.loop.rounds, 3u);
+
+  EXPECT_EQ(scenario.replay.trace_path, "full.trace");
+  EXPECT_DOUBLE_EQ(scenario.replay.speed, 0.5);
+  EXPECT_DOUBLE_EQ(scenario.replay.record_eps, 2000.0);
 
   const runtime::ShardedRuntimeConfig runtime_config =
       config::ConfigLoader::MakeRuntimeConfig(scenario);
@@ -293,6 +304,10 @@ TEST(ConfigLoader, RejectsInvalidScenarios) {
                   "not referenced by any suite");
   ExpectLoadError(std::string(kMinimal) + "[runtime]\nsettle_lag = 64\n",
                   "settle_lag");
+  ExpectLoadError(std::string(kMinimal) + "[replay]\nspeed = -1.0\n",
+                  "speed must be >= 0");
+  ExpectLoadError(std::string(kMinimal) + "[replay]\nrecord_eps = 0\n",
+                  "record_eps must be > 0");
   ExpectLoadError(
       std::string(kMinimal) + "[admission]\npolicy = shed_below_severity\n",
       "severity_hint below shed_floor");
@@ -322,6 +337,28 @@ TEST(ConfigLoader, RejectsInvalidScenarios) {
   // A batch larger than the shard queue could never be admitted.
   ExpectLoadError(std::string(kMinimal) + "[runtime]\nqueue_capacity = 16\n",
                   "exceeds [runtime] queue_capacity");
+}
+
+// Every scenario shipped under configs/ loads, and its [runtime] +
+// [admission] sections make a valid runtime geometry.
+TEST(Config, EveryShippedConfigLoads) {
+  const std::filesystem::path dir =
+      std::filesystem::path(OMG_SOURCE_DIR) / "configs";
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".conf") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  EXPECT_EQ(paths.size(), 9u);
+  for (const std::filesystem::path& path : paths) {
+    SCOPED_TRACE(path.filename().string());
+    config::ScenarioSpec scenario;
+    ASSERT_NO_THROW(scenario = config::ConfigLoader::LoadFile(path.string()));
+    EXPECT_FALSE(scenario.name.empty());
+    EXPECT_FALSE(scenario.streams.empty());
+    EXPECT_NO_THROW(
+        config::ConfigLoader::MakeRuntimeConfig(scenario).Validate());
+  }
 }
 
 // ---------------------------------------------------------------- factory --

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "common/check.hpp"
 #include "core/assertion.hpp"
-#include "core/monitor.hpp"
+#include "core/incremental.hpp"
 #include "core/severity_matrix.hpp"
 
 namespace omg::core {
@@ -129,38 +132,49 @@ TEST(AssertionSuite, EmptyNameRejected) {
                common::CheckError);
 }
 
-TEST(StreamingMonitor, EmitsAfterSettleLag) {
+/// One emitted firing: (stream position, assertion index, severity).
+using Firing = std::tuple<std::size_t, std::size_t, double>;
+
+/// Feeds one example and returns the firings the evaluator emitted for it.
+std::vector<Firing> Observe(IncrementalWindowEvaluator<Toy>& evaluator,
+                            Toy example) {
+  std::vector<Firing> fired;
+  evaluator.Observe(example, [&](std::size_t global, std::size_t assertion,
+                                 double severity) {
+    fired.emplace_back(global, assertion, severity);
+  });
+  return fired;
+}
+
+TEST(IncrementalEvaluator, EmitsAfterSettleLag) {
   AssertionSuite<Toy> suite;
   suite.AddPointwise("positive",
                      [](const Toy& t) { return t.value > 0 ? 1.0 : 0.0; });
-  StreamingMonitor<Toy> monitor(suite, /*window=*/4, /*settle_lag=*/1);
+  IncrementalWindowEvaluator<Toy> evaluator(
+      suite, {/*window=*/4, /*settle_lag=*/1, {}});
   // Firing example at stream position 0 must not emit until position 1
   // arrives.
-  auto events = monitor.Observe(Toy{5.0});
-  EXPECT_TRUE(events.empty());
-  events = monitor.Observe(Toy{-1.0});
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].example_index, 0u);
-  EXPECT_EQ(events[0].assertion, "positive");
+  EXPECT_TRUE(Observe(evaluator, Toy{5.0}).empty());
+  EXPECT_EQ(Observe(evaluator, Toy{-1.0}),
+            (std::vector<Firing>{{0, 0, 1.0}}));
 }
 
-TEST(StreamingMonitor, EmitsEachFiringOnce) {
+TEST(IncrementalEvaluator, EmitsEachFiringOnce) {
   AssertionSuite<Toy> suite;
   suite.AddPointwise("positive",
                      [](const Toy& t) { return t.value > 0 ? 1.0 : 0.0; });
-  StreamingMonitor<Toy> monitor(suite, 4, 1);
-  std::size_t total = 0;
-  total += monitor.Observe(Toy{5.0}).size();
-  total += monitor.Observe(Toy{5.0}).size();
-  total += monitor.Observe(Toy{5.0}).size();
-  total += monitor.Observe(Toy{-1.0}).size();
-  // Three firing examples, each emitted exactly once.
-  EXPECT_EQ(total, 3u);
-  EXPECT_EQ(monitor.stats().events_emitted, 3u);
-  EXPECT_EQ(monitor.stats().fire_counts.at("positive"), 3u);
+  IncrementalWindowEvaluator<Toy> evaluator(suite, {4, 1, {}});
+  std::vector<Firing> all;
+  for (const double value : {5.0, 5.0, 5.0, -1.0}) {
+    const std::vector<Firing> fired = Observe(evaluator, Toy{value});
+    all.insert(all.end(), fired.begin(), fired.end());
+  }
+  // Three firing examples, each emitted exactly once, in stream order.
+  EXPECT_EQ(all, (std::vector<Firing>{{0, 0, 1.0}, {1, 0, 1.0}, {2, 0, 1.0}}));
+  EXPECT_EQ(evaluator.examples_seen(), 4u);
 }
 
-TEST(StreamingMonitor, RetroactiveAssertionSettles) {
+TEST(IncrementalEvaluator, RetroactiveAssertionSettles) {
   // Fires on example i when example i+1 has a larger value — requires the
   // future frame, like flicker.
   AssertionSuite<Toy> suite;
@@ -171,42 +185,9 @@ TEST(StreamingMonitor, RetroactiveAssertionSettles) {
     }
     return severities;
   });
-  StreamingMonitor<Toy> monitor(suite, 4, 1);
-  EXPECT_TRUE(monitor.Observe(Toy{1.0}).empty());
-  const auto events = monitor.Observe(Toy{2.0});
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].example_index, 0u);
-}
-
-TEST(StreamingMonitor, CallbackInvoked) {
-  AssertionSuite<Toy> suite;
-  suite.AddPointwise("positive",
-                     [](const Toy& t) { return t.value > 0 ? 1.0 : 0.0; });
-  StreamingMonitor<Toy> monitor(suite, 4, 1);
-  std::vector<MonitorEvent> seen;
-  monitor.OnEvent([&](const MonitorEvent& e) { seen.push_back(e); });
-  monitor.Observe(Toy{5.0});
-  monitor.Observe(Toy{-1.0});
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_DOUBLE_EQ(seen[0].severity, 1.0);
-}
-
-TEST(StreamingMonitor, MaxSeverityTracked) {
-  AssertionSuite<Toy> suite;
-  suite.AddPointwise("value", [](const Toy& t) {
-    return t.value > 0 ? t.value : 0.0;
-  });
-  StreamingMonitor<Toy> monitor(suite, 4, 1);
-  monitor.Observe(Toy{2.0});
-  monitor.Observe(Toy{7.0});
-  monitor.Observe(Toy{-1.0});
-  EXPECT_DOUBLE_EQ(monitor.stats().max_severity.at("value"), 7.0);
-}
-
-TEST(StreamingMonitor, ValidatesConfig) {
-  AssertionSuite<Toy> suite;
-  EXPECT_THROW(StreamingMonitor<Toy>(suite, 2, 2), common::CheckError);
-  EXPECT_THROW(StreamingMonitor<Toy>(suite, 0, 0), common::CheckError);
+  IncrementalWindowEvaluator<Toy> evaluator(suite, {4, 1, {}});
+  EXPECT_TRUE(Observe(evaluator, Toy{1.0}).empty());
+  EXPECT_EQ(Observe(evaluator, Toy{2.0}), (std::vector<Firing>{{0, 0, 1.0}}));
 }
 
 }  // namespace

@@ -44,10 +44,12 @@ TEST(Flags, FallbacksWhenAbsent) {
 TEST(Flags, DoubleParsing) {
   EXPECT_DOUBLE_EQ(ParseArgs({"--lr=0.05"}).GetDouble("lr", 0.0), 0.05);
   EXPECT_THROW(ParseArgs({"--lr=abc"}).GetDouble("lr", 0.0), CheckError);
+  EXPECT_THROW(ParseArgs({"--lr=0.05x"}).GetDouble("lr", 0.0), CheckError);
 }
 
 TEST(Flags, IntRejectsGarbage) {
   EXPECT_THROW(ParseArgs({"--n=abc"}).GetInt("n", 0), CheckError);
+  EXPECT_THROW(ParseArgs({"--n=12abc"}).GetInt("n", 0), CheckError);
 }
 
 TEST(Flags, IntListParsing) {

@@ -7,7 +7,7 @@
 
 #include "bandit/bal.hpp"
 #include "bandit/ccmab.hpp"
-#include "core/monitor.hpp"
+#include "core/incremental.hpp"
 #include "core/report.hpp"
 #include "ecg/pipeline.hpp"
 #include "video/pipeline.hpp"
@@ -25,10 +25,10 @@ video::VideoPipelineConfig SmallVideoConfig() {
 }
 
 TEST(Integration, MonitorAndBatchAgreeOnFirings) {
-  // The streaming monitor over the deployed stream must emit exactly the
-  // firings the batch suite reports for settled examples (the monitor's
-  // windowed view can only miss long-range retroactive effects, which the
-  // chosen window is large enough to contain).
+  // Streaming evaluation over the deployed stream must emit exactly the
+  // firings the batch suite reports for settled examples (the windowed
+  // view can only miss long-range retroactive effects, which the chosen
+  // window is large enough to contain).
   video::VideoPipeline pipeline(SmallVideoConfig());
   const auto examples = pipeline.MakeExamples(pipeline.pool());
 
@@ -36,27 +36,26 @@ TEST(Integration, MonitorAndBatchAgreeOnFirings) {
   const core::SeverityMatrix batch = batch_suite.suite.CheckAll(examples);
 
   video::VideoSuite stream_suite = video::BuildVideoSuite();
-  core::StreamingMonitor<video::VideoExample> monitor(stream_suite.suite,
-                                                      /*window=*/40,
-                                                      /*settle_lag=*/10);
+  core::IncrementalWindowEvaluator<video::VideoExample> evaluator(
+      stream_suite.suite, {/*window=*/40, /*settle_lag=*/10, {}});
+  const auto names = batch_suite.suite.Names();
   std::set<std::pair<std::size_t, std::string>> streamed;
-  monitor.OnEvent([&](const core::MonitorEvent& event) {
-    streamed.insert({event.example_index, event.assertion});
-  });
   for (const auto& example : examples) {
     stream_suite.consistency->Invalidate();
-    monitor.Observe(example);
+    evaluator.Observe(example, [&](std::size_t global, std::size_t a,
+                                   double) {
+      streamed.insert({global, names[a]});
+    });
   }
 
   // Every batch firing in the settled region must have been streamed.
-  const auto names = batch_suite.suite.Names();
   std::size_t batch_fired = 0;
   for (std::size_t e = 0; e + 10 < examples.size(); ++e) {
     if (e < 40) continue;  // ramp-up region: window semantics differ
     for (std::size_t a = 0; a < names.size(); ++a) {
       if (!batch.Fired(e, a)) continue;
       // Temporal assertions evaluated over the full stream can fire on
-      // gaps longer than the monitor's window view; only same-window
+      // gaps longer than the streaming window view; only same-window
       // phenomena must match. All our video assertions act within a
       // 1-second (5-frame) horizon, well inside the window.
       ++batch_fired;
@@ -150,19 +149,18 @@ TEST(Integration, EcgMonitorFlagsOscillationsLive) {
 
   ecg::EcgSuite suite = ecg::BuildEcgSuite(30.0);
   // Window must cover a full record so record-boundary semantics hold.
-  core::StreamingMonitor<ecg::EcgExample> monitor(
-      suite.suite, config.generator.windows_per_record + 4, 6);
+  core::IncrementalWindowEvaluator<ecg::EcgExample> evaluator(
+      suite.suite, {config.generator.windows_per_record + 4, 6, {}});
+  const auto names = suite.suite.Names();
   std::size_t events = 0;
-  monitor.OnEvent([&](const core::MonitorEvent& event) {
-    EXPECT_EQ(event.assertion, "ECG");
-    ++events;
-  });
   for (const auto& example : examples) {
     suite.consistency->Invalidate();
-    monitor.Observe(example);
+    evaluator.Observe(example, [&](std::size_t, std::size_t a, double) {
+      EXPECT_EQ(names[a], "ECG");
+      ++events;
+    });
   }
   EXPECT_GT(events, 0u);
-  EXPECT_EQ(monitor.stats().events_emitted, events);
 }
 
 TEST(Integration, SeverityContextsFeedCcMabDirectly) {

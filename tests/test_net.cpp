@@ -510,6 +510,30 @@ std::vector<serve::AnyExample> SyntheticBatch(const std::string& domain,
   return batch;
 }
 
+// A socket call that fails is a typed error carrying errno's text, never
+// an abort: a client connecting to a path nothing listens on, and a server
+// binding a listener in a directory that does not exist.
+TEST(Server, SocketFailuresAreTypedErrors) {
+  const std::string missing = "/nonexistent-omg-dir/omg.sock";
+  const serve::Result<ClientConnection> conn =
+      ClientConnection::ConnectUds(missing);
+  ASSERT_FALSE(conn.ok());
+  EXPECT_NE(conn.error().message.find("connect '" + missing + "'"),
+            std::string::npos)
+      << conn.error().message;
+
+  const serve::DomainRegistry domains = serve::MakeDefaultDomainRegistry();
+  config::ScenarioMonitor hosted = MakeHosted(domains);
+  IngestServerOptions options;
+  options.uds_path = missing;
+  IngestServer server(options, *hosted.monitor, domains);
+  const serve::Result<ServerEndpoints> endpoints = server.Start();
+  ASSERT_FALSE(endpoints.ok());
+  EXPECT_NE(endpoints.error().message.find("bind/listen '" + missing + "'"),
+            std::string::npos)
+      << endpoints.error().message;
+}
+
 TEST(Server, HelloBindDataFlushStatsOverUds) {
   const serve::DomainRegistry domains = serve::MakeDefaultDomainRegistry();
   config::ScenarioMonitor hosted = MakeHosted(domains);

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "core/assertion.hpp"
 #include "core/incremental.hpp"
-#include "core/monitor.hpp"
 #include "runtime/event_sink.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/stream_registry.hpp"
@@ -226,6 +225,33 @@ TEST(IncrementalEvaluator, ValidatesConfig) {
                common::CheckError);
 }
 
+TEST(IncrementalEvaluator, ObserveBatchMatchesPerExampleObserve) {
+  const auto stream = MakeStream(31, 120);
+
+  core::AssertionSuite<Tick> suite_a;
+  PopulateSuite(suite_a, false);
+  const auto names = suite_a.Names();
+  core::IncrementalWindowEvaluator<Tick> one_by_one(suite_a, {16, 4, {}});
+  std::vector<Firing> a;
+  for (const Tick& tick : stream) {
+    one_by_one.Observe(tick, [&](std::size_t g, std::size_t i, double s) {
+      a.emplace_back(g, names[i], s);
+    });
+  }
+
+  core::AssertionSuite<Tick> suite_b;
+  PopulateSuite(suite_b, false);
+  core::IncrementalWindowEvaluator<Tick> batched(suite_b, {16, 4, {}});
+  std::vector<Firing> b;
+  batched.ObserveBatch(stream, [&](std::size_t g, std::size_t i, double s) {
+    b.emplace_back(g, names[i], s);
+  });
+
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(one_by_one.examples_seen(), batched.examples_seen());
+}
+
 TEST(TemporalRadius, DeclaredPerAssertionClass) {
   core::AssertionSuite<Tick> suite;
   suite.AddPointwise("p", [](const Tick&) { return 0.0; });
@@ -242,33 +268,6 @@ TEST(TemporalRadius, DeclaredPerAssertionClass) {
   EXPECT_EQ(suite.at(0).temporal_radius(), 0u);
   EXPECT_EQ(suite.at(1).temporal_radius(), core::kUnboundedRadius);
   EXPECT_EQ(suite.at(2).temporal_radius(), 3u);
-}
-
-// -------------------------------------------------------- StreamingMonitor ---
-
-TEST(StreamingMonitor, ObserveBatchMatchesPerExampleObserve) {
-  const auto stream = MakeStream(31, 120);
-
-  core::AssertionSuite<Tick> suite_a;
-  PopulateSuite(suite_a, false);
-  core::StreamingMonitor<Tick> one_by_one(suite_a, 16, 4);
-  std::vector<Firing> a;
-  for (const Tick& tick : stream) {
-    for (const auto& event : one_by_one.Observe(tick)) {
-      a.emplace_back(event.example_index, event.assertion, event.severity);
-    }
-  }
-
-  core::AssertionSuite<Tick> suite_b;
-  PopulateSuite(suite_b, false);
-  core::StreamingMonitor<Tick> batched(suite_b, 16, 4);
-  std::vector<Firing> b;
-  for (const auto& event : batched.ObserveBatch(stream)) {
-    b.emplace_back(event.example_index, event.assertion, event.severity);
-  }
-
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(one_by_one.stats().examples_seen, batched.stats().examples_seen);
 }
 
 // ---------------------------------------------------------- StreamRegistry ---

@@ -37,9 +37,6 @@ struct BigExample {
 template <>
 struct omg::serve::DomainTraits<omg::BigExample> {
   static constexpr std::string_view kDomain = "test-big";
-  static double SeverityHint(const omg::BigExample& example) {
-    return example.samples[0];
-  }
   static std::string DebugString(const omg::BigExample& example) {
     return "big:" + example.label;
   }
@@ -89,7 +86,8 @@ TEST(SanitizerRegressions, AnyExampleHeapSpillSurvivesCloneAndMoveCycles) {
   // Replace a spill payload in place, and leave holders non-empty at
   // scope exit so the destructor path releases spill blocks too.
   c.Emplace<BigExample>(MakeBig(2.0, "replaced"));
-  EXPECT_DOUBLE_EQ(c.SeverityHint(), 2.0);
+  EXPECT_DOUBLE_EQ(c.Get<BigExample>().samples[0], 2.0);
+  EXPECT_EQ(c.Get<BigExample>().label, "replaced");
 }
 
 TEST(SanitizerRegressions, WireReadsAreSafeFromMisalignedBuffers) {

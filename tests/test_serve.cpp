@@ -48,7 +48,6 @@ namespace omg::serve {
 template <>
 struct DomainTraits<Tick> {
   static constexpr std::string_view kDomain = "tick";
-  static double SeverityHint(const Tick& tick) { return tick.value; }
   static std::string DebugString(const Tick& tick) {
     return "tick " + std::to_string(tick.index);
   }
@@ -57,7 +56,6 @@ struct DomainTraits<Tick> {
 template <>
 struct DomainTraits<BigBlob> {
   static constexpr std::string_view kDomain = "blob";
-  static double SeverityHint(const BigBlob&) { return 0.0; }
   static std::string DebugString(const BigBlob& blob) {
     return "blob " + std::to_string(blob.index);
   }
@@ -79,7 +77,6 @@ TEST(AnyExample, InlineStorageRoundTrip) {
   ASSERT_NE(example.TryGet<Tick>(), nullptr);
   EXPECT_EQ(example.TryGet<Tick>()->index, 7u);
   EXPECT_DOUBLE_EQ(example.Get<Tick>().value, 2.5);
-  EXPECT_DOUBLE_EQ(example.SeverityHint(), 2.5);
   EXPECT_EQ(example.DebugString(), "tick 7");
   EXPECT_EQ(example.TryGet<BigBlob>(), nullptr);
   EXPECT_THROW(example.Get<BigBlob>(), common::CheckError);
@@ -711,6 +708,38 @@ TEST(Monitor, SubscriptionFiltersAndUnsubscribes) {
   monitor->Flush();
   EXPECT_EQ(everything->Events().size(), before);
   EXPECT_GT(positive_only->Events().size(), 0u);
+}
+
+TEST(Monitor, MovedSubscriptionKeepsItsSinkAttached) {
+  const std::unique_ptr<Monitor> monitor = SmallMonitor(1);
+  Result<StreamHandle> ticks = monitor->RegisterStream(
+      "tick", EraseSuiteFactory<Tick>("tick", TickSuiteFactory()),
+      Named("ticker"));
+  ASSERT_TRUE(ticks.ok());
+
+  auto kept = std::make_shared<runtime::CollectingSink>();
+  auto replaced = std::make_shared<runtime::CollectingSink>();
+  Subscription original = monitor->Subscribe(EventFilter{}, kept);
+  Subscription moved(std::move(original));
+  // NOLINTNEXTLINE(bugprone-use-after-move): asserts the moved-from state
+  EXPECT_FALSE(original.active());
+  EXPECT_TRUE(moved.active());
+
+  // Move-assigning over a live subscription detaches the one it held.
+  Subscription target = monitor->Subscribe(EventFilter{}, replaced);
+  target = std::move(moved);
+  // NOLINTNEXTLINE(bugprone-use-after-move): asserts the moved-from state
+  EXPECT_FALSE(moved.active());
+  EXPECT_TRUE(target.active());
+
+  std::vector<AnyExample> batch;
+  for (std::size_t i = 0; i < 40; ++i) {
+    batch.push_back(AnyExample::Make(Tick{i, 2.0}));
+  }
+  EXPECT_TRUE(monitor->ObserveBatch(ticks.value(), std::move(batch)).ok());
+  monitor->Flush();
+  EXPECT_FALSE(kept->Events().empty());
+  EXPECT_TRUE(replaced->Events().empty());
 }
 
 TEST(Monitor, ConcurrentSubscribeUnsubscribeUnderLoad) {
