@@ -21,8 +21,8 @@ RetrainWorker::RetrainWorker(RetrainConfig config,
     for (std::size_t i = 0; i < replay.size(); ++i) {
       const double weight =
           replay.weights.empty() ? 1.0 : replay.weights[i];
-      replay_.Add(replay.features[i], replay.labels[i],
-                  weight * config_.replay_weight);
+      training_set_.Add(std::move(replay.features[i]), replay.labels[i],
+                        weight * config_.replay_weight);
     }
   }
   worker_ = std::thread([this] { Run(); });
@@ -58,7 +58,7 @@ std::size_t RetrainWorker::retrains() const {
 
 std::size_t RetrainWorker::accumulated_rows() const {
   MutexLock lock(mutex_);
-  return accumulated_.size();
+  return accumulated_rows_;
 }
 
 std::vector<std::string> RetrainWorker::Errors() const {
@@ -81,27 +81,32 @@ void RetrainWorker::Run() {
     // Clone the currently served model; the fine-tune below updates the
     // clone, and serving keeps reading the old handle until the publish.
     nn::Mlp model = *registry_->Current().model;
-    nn::Dataset snapshot;
-    bool accepted = false;
+    // A batch that does not fit the model would fail this fine-tune and
+    // every later one: reject it here, once, and keep the rest.
+    std::size_t accepted_rows = 0;
+    std::vector<std::string> rejected;
+    for (nn::Dataset& batch : batches) {
+      try {
+        nn::CheckFits(model.config(), batch);
+      } catch (const common::CheckError& error) {
+        rejected.push_back(std::string("label batch rejected: ") +
+                           error.what());
+        continue;
+      }
+      accepted_rows += batch.size();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        training_set_.Add(std::move(batch.features[i]), batch.labels[i],
+                          batch.weights.empty() ? 1.0 : batch.weights[i]);
+      }
+    }
+    const bool accepted = accepted_rows > 0;  // Submit takes no empty batch
+    std::size_t accumulated = 0;
     {
       MutexLock lock(mutex_);
-      for (const nn::Dataset& batch : batches) {
-        // A batch that does not fit the model would fail this fine-tune
-        // and every later one: reject it here, once, and keep the rest.
-        try {
-          nn::CheckFits(model.config(), batch);
-          accumulated_.Append(batch);
-          accepted = true;
-        } catch (const common::CheckError& error) {
-          errors_.push_back(std::string("label batch rejected: ") +
-                            error.what());
-        }
-      }
-      if (accepted) {
-        snapshot = accumulated_;  // train outside the lock on a copy
-      } else {
-        training_ = false;
-      }
+      accumulated_rows_ += accepted_rows;
+      accumulated = accumulated_rows_;
+      errors_.insert(errors_.end(), rejected.begin(), rejected.end());
+      if (!accepted) training_ = false;
     }
     if (!accepted) {
       idle_cv_.NotifyAll();
@@ -111,18 +116,15 @@ void RetrainWorker::Run() {
     if (config_.tracer != nullptr) {
       config_.tracer->EmitControl(obs::TraceEventKind::kRetrain,
                                   obs::TracePhase::kBegin,
-                                  obs::TraceEvent::kNoStream,
-                                  snapshot.size());
+                                  obs::TraceEvent::kNoStream, accumulated);
     }
     std::uint64_t published_version = 0;
 
     // A throwing fine-tune must not escape the thread: record it and keep
     // the worker alive.
     try {
-      nn::Dataset combined = replay_;
-      combined.Append(snapshot);
       nn::SoftmaxTrainer trainer(config_.sgd);
-      trainer.Train(model, combined, rng);
+      trainer.Train(model, training_set_, rng);
       published_version = registry_->Publish(std::move(model));
       MutexLock lock(mutex_);
       training_ = false;
@@ -135,8 +137,8 @@ void RetrainWorker::Run() {
     if (config_.tracer != nullptr) {
       config_.tracer->EmitControl(obs::TraceEventKind::kRetrain,
                                   obs::TracePhase::kEnd,
-                                  obs::TraceEvent::kNoStream,
-                                  snapshot.size(), published_version);
+                                  obs::TraceEvent::kNoStream, accumulated,
+                                  published_version);
     }
     idle_cv_.NotifyAll();
   }

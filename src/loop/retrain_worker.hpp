@@ -1,12 +1,12 @@
 // Background fine-tuning with hot-swapped publishes.
 //
 // Labeled batches from the RoundScheduler accumulate into one weighted
-// dataset (weak labels keep their down-weights next to full-weight human
-// labels, as §5.5 prescribes); a dedicated worker thread clones the
-// registry's current model, fine-tunes the clone on replay + accumulated
-// labels, and publishes the result as a new version. Serving never blocks:
-// streams keep scoring with the old handle until they pick up the new one
-// between batches.
+// training set after the replay rows (weak labels keep their down-weights
+// next to full-weight human labels, as §5.5 prescribes); a dedicated worker
+// thread clones the registry's current model, fine-tunes the clone on that
+// set in place, and publishes the result as a new version. Serving never
+// blocks: streams keep scoring with the old handle until they pick up the
+// new one between batches.
 #pragma once
 
 #include <cstddef>
@@ -84,13 +84,17 @@ class RetrainWorker {
 
   RetrainConfig config_;
   std::shared_ptr<ModelRegistry> registry_;
-  nn::Dataset replay_;  ///< already scaled by replay_weight
+  /// What every fine-tune trains on: the replay rows scaled by
+  /// replay_weight, then each accepted batch's rows in arrival order, each
+  /// row appended once. Only the worker thread touches it once the
+  /// constructor has filled the replay rows.
+  nn::Dataset training_set_;
 
   mutable Mutex mutex_;
   CondVar work_cv_;
   CondVar idle_cv_;
   std::vector<nn::Dataset> pending_ OMG_GUARDED_BY(mutex_);
-  nn::Dataset accumulated_ OMG_GUARDED_BY(mutex_);
+  std::size_t accumulated_rows_ OMG_GUARDED_BY(mutex_) = 0;
   bool training_ OMG_GUARDED_BY(mutex_) = false;
   bool stop_ OMG_GUARDED_BY(mutex_) = false;
   std::size_t retrains_ OMG_GUARDED_BY(mutex_) = 0;

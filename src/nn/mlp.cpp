@@ -12,6 +12,9 @@ using common::Check;
 Mlp::Mlp(const MlpConfig& config, common::Rng& rng) : config_(config) {
   Check(config.input_dim > 0, "Mlp input_dim must be positive");
   Check(config.num_classes >= 2, "Mlp needs at least two classes");
+  for (const std::size_t width : config.hidden) {
+    Check(width > 0, "Mlp hidden layer widths must be positive");
+  }
   std::vector<std::size_t> dims;
   dims.push_back(config.input_dim);
   dims.insert(dims.end(), config.hidden.begin(), config.hidden.end());

@@ -20,7 +20,8 @@ namespace omg::nn {
 /// Architecture of an Mlp.
 struct MlpConfig {
   std::size_t input_dim = 0;
-  /// Hidden layer widths; empty means multinomial logistic regression.
+  /// Hidden layer widths, each positive; empty means multinomial logistic
+  /// regression.
   std::vector<std::size_t> hidden = {};
   std::size_t num_classes = 2;
 };

@@ -17,10 +17,16 @@ namespace {
 
 // Two doubles: the vector width of every x86-64 and AArch64 target, so the
 // kernels below need no ISA flag and no dispatch. A kernel keeps kBlock
-// rows (or inputs) in four of them.
+// rows (or inputs) in kVecs of them. Each `sum += x * w` must round the
+// product before the add; the build's -ffp-contract=off keeps the compiler
+// from fusing them (trainer.hpp, "Bit identity").
 typedef double Vec __attribute__((vector_size(16)));
 typedef std::int64_t Bits __attribute__((vector_size(16)));
 constexpr std::size_t kBlock = 8;
+constexpr std::size_t kVecs = kBlock / 2;
+/// Outputs whose sums a kernel holds at once: kGroup * kVecs sums, the
+/// kVecs inputs and one splatted factor fill 13 of SSE2's 16 registers.
+constexpr std::size_t kGroup = 2;
 
 std::size_t RoundUpToBlock(std::size_t n) {
   return (n + kBlock - 1) / kBlock * kBlock;
@@ -40,19 +46,46 @@ Vec Splat(double x) { return Vec{x, x}; }
 /// written as a bitwise and, which g++ and clang both accept.
 Vec Keep(Vec v, Bits keep) { return (Vec)((Bits)v & keep); }
 
-/// All ones in the lanes where `a` is nonzero. Keep(a * b, NonZero(a)) is
-/// a*b, or +0.0 where a is zero. A sum that starts from +0.0 is never -0.0,
-/// and adding +0.0 leaves it unchanged, so adding that product matches
-/// skipping a zero `a`, even where b is infinite or NaN.
-Bits NonZero(Vec a) { return (Bits)(a != Vec{}); }
+/// Outputs j..j+G-1 of DenseForward for the kBlock rows from r. The
+/// G * kBlock sums stay in registers for the whole pass over the inputs,
+/// and each result is stored once.
+template <std::size_t G>
+void DenseForwardGroup(const double* in, std::size_t stride, std::size_t r,
+                       std::size_t fan_in, const double* w,
+                       std::size_t fan_out, std::size_t j, const double* b,
+                       bool relu, double* out, double* out_by_row,
+                       std::size_t out_row_stride) {
+  Vec sum[G][kVecs] = {};
+  for (std::size_t k = 0; k < fan_in; ++k) {
+    const double* x = in + k * stride + r;
+    const Vec x0 = Load(x), x1 = Load(x + 2), x2 = Load(x + 4),
+              x3 = Load(x + 6);
+    for (std::size_t g = 0; g < G; ++g) {
+      const Vec wg = Splat(w[k * fan_out + j + g]);
+      sum[g][0] += x0 * wg;
+      sum[g][1] += x1 * wg;
+      sum[g][2] += x2 * wg;
+      sum[g][3] += x3 * wg;
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) {
+    const Vec bg = Splat(b[j + g]);
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      Vec z = sum[g][q] + bg;
+      if (relu) z = Keep(z, (Bits)(z > Vec{}));
+      Store(out + (j + g) * stride + r + 2 * q, z);
+      if (out_by_row == nullptr) continue;
+      out_by_row[(r + 2 * q) * out_row_stride + j + g] = z[0];
+      out_by_row[(r + 2 * q + 1) * out_row_stride + j + g] = z[1];
+    }
+  }
+}
 
 /// One dense layer over `rows` rows (a multiple of kBlock), with `in` and
 /// `out` feature-major at `stride`: out[j][r] is the sum over ascending k,
-/// from 0.0 and skipping zero inputs, of in[k][r] * w[k][j], plus b[j],
-/// clamped to +0.0 unless positive (std::max(0.0, z)) when `relu`. When
-/// `out_by_row` is non-null it receives the outputs batch-major too, row r
-/// at r * out_row_stride. The sums accumulate in `out`, so the inputs of a
-/// block and their zero masks are loaded once for every output.
+/// from +0.0, of in[k][r] * w[k][j], plus b[j], clamped to +0.0 unless
+/// positive (std::max(0.0, z)) when `relu`. When `out_by_row` is non-null
+/// it receives the outputs batch-major too, row r at r * out_row_stride.
 void DenseForward(const double* in, std::size_t stride, std::size_t rows,
                   const Matrix& weights, const Matrix& bias, bool relu,
                   double* out, double* out_by_row,
@@ -62,71 +95,74 @@ void DenseForward(const double* in, std::size_t stride, std::size_t rows,
   const double* w = weights.Data().data();
   const double* b = bias.Data().data();
   for (std::size_t r = 0; r < rows; r += kBlock) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-      std::fill_n(out + j * stride + r, kBlock, 0.0);
+    std::size_t j = 0;
+    for (; j + kGroup <= fan_out; j += kGroup) {
+      DenseForwardGroup<kGroup>(in, stride, r, fan_in, w, fan_out, j, b,
+                                relu, out, out_by_row, out_row_stride);
     }
-    for (std::size_t k = 0; k < fan_in; ++k) {
-      const double* x = in + k * stride + r;
-      const Vec x0 = Load(x), x1 = Load(x + 2), x2 = Load(x + 4),
-                x3 = Load(x + 6);
-      const Bits m0 = NonZero(x0), m1 = NonZero(x1), m2 = NonZero(x2),
-                 m3 = NonZero(x3);
-      const double* wk = w + k * fan_out;
-      for (std::size_t j = 0; j < fan_out; ++j) {
-        const Vec wj = Splat(wk[j]);
-        double* o = out + j * stride + r;
-        Store(o, Load(o) + Keep(x0 * wj, m0));
-        Store(o + 2, Load(o + 2) + Keep(x1 * wj, m1));
-        Store(o + 4, Load(o + 4) + Keep(x2 * wj, m2));
-        Store(o + 6, Load(o + 6) + Keep(x3 * wj, m3));
-      }
-    }
-    for (std::size_t j = 0; j < fan_out; ++j) {
-      const Vec bj = Splat(b[j]);
-      double* o = out + j * stride + r;
-      for (std::size_t q = 0; q < kBlock; q += 2) {
-        Vec z = Load(o + q) + bj;
-        if (relu) z = Keep(z, (Bits)(z > Vec{}));
-        Store(o + q, z);
-      }
-      if (out_by_row == nullptr) continue;
-      for (std::size_t q = 0; q < kBlock; ++q) {
-        out_by_row[(r + q) * out_row_stride + j] = o[q];
-      }
+    for (; j < fan_out; ++j) {
+      DenseForwardGroup<1>(in, stride, r, fan_in, w, fan_out, j, b, relu,
+                           out, out_by_row, out_row_stride);
     }
   }
 }
 
-/// grad[j][i], for fan_out rows of `in_stride` (a multiple of kBlock), is
-/// the sum over ascending r < rows, from 0.0 and skipping zero inputs, of
-/// in_by_row[r][i] * delta[j][r], and bias_grad[j] the plain sum of
-/// delta[j][r]; `delta` is feature-major at `delta_stride`. As in
-/// DenseForward, the sums accumulate in memory so that a row's inputs and
-/// masks are loaded once for every output.
-void WeightGradient(const double* in_by_row, std::size_t in_stride,
-                    std::size_t rows, const double* delta,
-                    std::size_t delta_stride, std::size_t fan_out,
-                    double* grad, double* bias_grad) {
-  std::fill_n(grad, fan_out * in_stride, 0.0);
-  std::fill_n(bias_grad, fan_out, 0.0);
+/// Outputs j..j+G-1 of WeightGradient for the kBlock inputs from i, of
+/// which the first `inputs` are real. The G * kBlock sums stay in
+/// registers for the whole pass over the rows, and each result is stored
+/// once. The bias sums ride along; the first block (i == 0) stores them.
+template <std::size_t G>
+void WeightGradientGroup(const double* in_by_row, std::size_t in_stride,
+                         std::size_t i, std::size_t inputs, std::size_t rows,
+                         const double* delta, std::size_t delta_stride,
+                         std::size_t fan_out, std::size_t j, double* grad,
+                         double* bias_grad) {
+  Vec sum[G][kVecs] = {};
+  double bias[G] = {};
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-      bias_grad[j] += delta[j * delta_stride + r];
+    const double* x = in_by_row + r * in_stride + i;
+    const Vec x0 = Load(x), x1 = Load(x + 2), x2 = Load(x + 4),
+              x3 = Load(x + 6);
+    for (std::size_t g = 0; g < G; ++g) {
+      const double d = delta[(j + g) * delta_stride + r];
+      bias[g] += d;
+      const Vec dg = Splat(d);
+      sum[g][0] += x0 * dg;
+      sum[g][1] += x1 * dg;
+      sum[g][2] += x2 * dg;
+      sum[g][3] += x3 * dg;
     }
-    for (std::size_t i = 0; i < in_stride; i += kBlock) {
-      const double* x = in_by_row + r * in_stride + i;
-      const Vec x0 = Load(x), x1 = Load(x + 2), x2 = Load(x + 4),
-                x3 = Load(x + 6);
-      const Bits m0 = NonZero(x0), m1 = NonZero(x1), m2 = NonZero(x2),
-                 m3 = NonZero(x3);
-      for (std::size_t j = 0; j < fan_out; ++j) {
-        const Vec dj = Splat(delta[j * delta_stride + r]);
-        double* g = grad + j * in_stride + i;
-        Store(g, Load(g) + Keep(x0 * dj, m0));
-        Store(g + 2, Load(g + 2) + Keep(x1 * dj, m1));
-        Store(g + 4, Load(g + 4) + Keep(x2 * dj, m2));
-        Store(g + 6, Load(g + 6) + Keep(x3 * dj, m3));
-      }
+  }
+  for (std::size_t g = 0; g < G; ++g) {
+    double* column = grad + i * fan_out + j + g;
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      if (2 * q < inputs) column[2 * q * fan_out] = sum[g][q][0];
+      if (2 * q + 1 < inputs) column[(2 * q + 1) * fan_out] = sum[g][q][1];
+    }
+    if (i == 0) bias_grad[j + g] = bias[g];
+  }
+}
+
+/// grad[i][j], shaped like the weights (fan_in rows of fan_out), is the sum
+/// over ascending r < rows, from +0.0, of in_by_row[r][i] * delta[j][r],
+/// and bias_grad[j] the plain sum of delta[j][r]. `in_by_row` holds rows
+/// of `in_stride`, fan_in (at least 1, as Mlp checks) rounded up to
+/// kBlock; `delta` is feature-major at `delta_stride`.
+void WeightGradient(const double* in_by_row, std::size_t in_stride,
+                    std::size_t fan_in, std::size_t rows,
+                    const double* delta, std::size_t delta_stride,
+                    std::size_t fan_out, double* grad, double* bias_grad) {
+  for (std::size_t i = 0; i < fan_in; i += kBlock) {
+    const std::size_t inputs = std::min(kBlock, fan_in - i);
+    std::size_t j = 0;
+    for (; j + kGroup <= fan_out; j += kGroup) {
+      WeightGradientGroup<kGroup>(in_by_row, in_stride, i, inputs, rows,
+                                  delta, delta_stride, fan_out, j, grad,
+                                  bias_grad);
+    }
+    for (; j < fan_out; ++j) {
+      WeightGradientGroup<1>(in_by_row, in_stride, i, inputs, rows, delta,
+                             delta_stride, fan_out, j, grad, bias_grad);
     }
   }
 }
@@ -234,7 +270,7 @@ void SoftmaxTrainer::SizeWorkspace(const Mlp& model, std::size_t rows) {
     layer.fan_in_padded = RoundUpToBlock(layer.fan_in);
     layer.input_by_row.assign(row_stride_ * layer.fan_in_padded, 0.0);
     layer.output.assign(layer.fan_out * row_stride_, 0.0);
-    layer.weight_grad.assign(layer.fan_out * layer.fan_in_padded, 0.0);
+    layer.weight_grad.assign(weights[l].size(), 0.0);
     layer.bias_grad.assign(layer.fan_out, 0.0);
     if (!same_shape) {
       layer.weight_velocity.assign(weights[l].size(), 0.0);
@@ -313,10 +349,11 @@ double SoftmaxTrainer::Step(Mlp& model, const Dataset& data,
   // delta down.
   const double decay = config_.momentum - 1.0;  // v + (m-1)*v is m*v
   const double step = -config_.learning_rate;
+  const double l2 = config_.l2;
   for (std::size_t l = layers_.size(); l-- > 0;) {
     LayerBuffers& layer = layers_[l];
-    WeightGradient(layer.input_by_row.data(), layer.fan_in_padded, n,
-                   delta_.data(), stride, layer.fan_out,
+    WeightGradient(layer.input_by_row.data(), layer.fan_in_padded,
+                   layer.fan_in, n, delta_.data(), stride, layer.fan_out,
                    layer.weight_grad.data(), layer.bias_grad.data());
     if (l > 0) {
       BackpropDelta(delta_.data(), stride, rows, weights[l],
@@ -324,23 +361,21 @@ double SoftmaxTrainer::Step(Mlp& model, const Dataset& data,
     }
 
     double* w = weights[l].Data().data();
-    for (std::size_t k = 0; k < layer.fan_in; ++k) {
-      for (std::size_t j = 0; j < layer.fan_out; ++j) {
-        const std::size_t at = k * layer.fan_out + j;
-        const double g = layer.weight_grad[j * layer.fan_in_padded + k] +
-                         config_.l2 * w[at];
-        double& v = layer.weight_velocity[at];
-        v = v + decay * v;
-        v = v + step * g;
-        w[at] = w[at] + 1.0 * v;
-      }
+    double* wv = layer.weight_velocity.data();
+    const double* wg = layer.weight_grad.data();
+    for (std::size_t at = 0; at < layer.weight_grad.size(); ++at) {
+      const double g = wg[at] + l2 * w[at];
+      wv[at] = wv[at] + decay * wv[at];
+      wv[at] = wv[at] + step * g;
+      w[at] = w[at] + 1.0 * wv[at];
     }
     double* b = biases[l].Data().data();
+    double* bv = layer.bias_velocity.data();
+    const double* bg = layer.bias_grad.data();
     for (std::size_t j = 0; j < layer.fan_out; ++j) {
-      double& v = layer.bias_velocity[j];
-      v = v + decay * v;
-      v = v + step * layer.bias_grad[j];
-      b[j] = b[j] + 1.0 * v;
+      bv[j] = bv[j] + decay * bv[j];
+      bv[j] = bv[j] + step * bg[j];
+      b[j] = b[j] + 1.0 * bv[j];
     }
     std::swap(delta_, delta_below_);
   }

@@ -7,22 +7,39 @@
 // so a dataset it rejects leaves the model untouched. It then sizes one
 // workspace for the model and the batch size; each step gathers its
 // minibatch straight from `Dataset::features` into it and allocates
-// nothing. Activations and back-propagated deltas are held feature-major
-// (one row per unit, the batch along the row), so the forward pass and the
-// delta run the batch innermost. The weight gradient reads each layer's
-// inputs held batch-major and runs the inputs innermost. No inner loop
-// runs over a narrow layer, such as the 2-wide output of a detector.
+// nothing (tests/test_alloc_counts.cpp counts). Activations and
+// back-propagated deltas are held feature-major (one row per unit, the
+// batch along the row), so the forward pass and the delta run the batch
+// innermost. The weight gradient reads each layer's inputs held batch-major
+// and runs the inputs innermost. The forward pass and the weight gradient
+// keep each block of sums in registers for the whole sum and store it
+// once. No inner loop runs over a narrow layer, such as the 2-wide output
+// of a detector.
 //
 // Bit identity. A step yields the same weights, biases and losses, bit for
 // bit, as the reference step in tests/test_nn.cpp, a pipeline of Matrix
-// products (the test Trainer.MatchesTheReferenceStepBitForBit compares
-// them). Every sum starts from 0.0 and adds its terms in the reference
-// order: ascending input (or row, for the gradients), the bias after. An
-// input of exactly zero adds nothing, as Matrix::MatMul skips it. The
-// update is one pass applying g + l2*w, v + (m-1)*v, v + (-lr)*g and
-// w + 1.0*v in that order. This holds while the compiler neither
-// reassociates nor contracts a*b + c into a fused multiply-add; GCC in ISO
-// C++ mode (the build's -std=c++20) without -ffast-math does neither.
+// products, on every run whose trained parameters end finite; and it ends
+// with a non-finite parameter exactly when the reference does
+// (Trainer.MatchesTheReferenceStepBitForBit and
+// Trainer.EndsNonFiniteExactlyWhenTheReferenceDoes check both). Every sum
+// starts from +0.0 and adds its terms in the reference order: ascending
+// input (or row, for the gradients), the bias after. The update is one
+// pass applying g + l2*w, v + (m-1)*v, v + (-lr)*g and w + 1.0*v in that
+// order. Unlike Matrix::MatMul, the kernels do not skip an input of exactly
+// zero:
+//   - A zero input adds ±0.0. That leaves a sum that started at +0.0
+//     unchanged whenever the weight (forward) or delta (gradient) is
+//     finite, since such a sum can never become -0.0 under round-to-nearest.
+//   - Where that weight or delta is infinite or NaN, the product is NaN and
+//     the two steps part. But once a weight or bias is non-finite, the
+//     update never makes it finite again; and a non-finite delta makes its
+//     layer's bias gradient non-finite, and so the bias, in the same step.
+//   - So a run whose parameters end finite never met such a product.
+// All this needs a compiler that neither reassociates nor contracts a*b + c
+// into a fused multiply-add. g++ contracts by default in every C++ mode
+// (-ffp-contract=fast) once the target has FMA, and clang (on) within an
+// expression, so the build passes -ffp-contract=off; nothing enables
+// -ffast-math.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +105,7 @@ class SoftmaxTrainer {
     /// The layer's output after its activation, feature-major: unit j at
     /// j * row_stride_ (the last layer's output holds the logits).
     std::vector<double> output;
-    /// Weight gradient, transposed: fan_out rows of fan_in_padded.
+    /// Weight gradient, shaped like the weights.
     std::vector<double> weight_grad;
     std::vector<double> bias_grad;
     /// Momentum, shaped like the weights and the biases.

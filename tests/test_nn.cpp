@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -108,6 +110,7 @@ TEST(Mlp, RejectsBadConfig) {
   common::Rng rng(3);
   EXPECT_THROW(Mlp(MlpConfig{0, {}, 2}, rng), common::CheckError);
   EXPECT_THROW(Mlp(MlpConfig{4, {}, 1}, rng), common::CheckError);
+  EXPECT_THROW(Mlp(MlpConfig{4, {8, 0}, 2}, rng), common::CheckError);
 }
 
 TEST(Mlp, InputDimChecked) {
@@ -559,6 +562,78 @@ TEST(Trainer, MatchesTheReferenceStepBitForBit) {
         << "config " << config << ": input " << shape.input_dim << ", "
         << shape.hidden.size() << " hidden, " << shape.num_classes
         << " classes, batch " << sgd.batch_size << ", " << rows << " rows";
+  }
+}
+
+bool AllFinite(const Mlp& model) {
+  for (std::size_t l = 0; l < model.weights().size(); ++l) {
+    for (const Matrix* m : {&model.weights()[l], &model.biases()[l]}) {
+      for (const double v : m->Data()) {
+        if (!std::isfinite(v)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+// What the finite sweep above cannot reach. The trainer adds the product
+// of a zero input where Matrix::MatMul skips it, so the two steps part once
+// a weight or delta is infinite or NaN; the contract is that the trained
+// parameters then end non-finite on both sides. Each input trains both
+// side by side: their parameters end finite together, and whenever they
+// are finite they match bit for bit, losses included.
+TEST(Trainer, EndsNonFiniteExactlyWhenTheReferenceDoes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  enum Input { kInfWeight, kNanWeight, kInfFeature, kHugeRate, kInputs };
+  const char* const names[] = {"+inf weight on a zero column",
+                               "NaN weight on a zero column",
+                               "+inf feature", "overflowing learning rate"};
+  for (const MlpConfig& shape : {MlpConfig{4, {6}, 3}, MlpConfig{4, {}, 3}}) {
+    for (int input = 0; input < kInputs; ++input) {
+      common::Rng rng(33);
+      Dataset data;
+      for (std::size_t r = 0; r < 40; ++r) {
+        data.Add({rng.Normal(), rng.Normal(), 0.0, rng.Normal()}, r % 3,
+                 rng.Uniform(0.5, 1.5));
+      }
+      Mlp initial(shape, rng);
+      SgdConfig sgd{0.05, 0.9, 1e-4, 8, 3};
+      switch (input) {
+        case kInfWeight:  // column 2 is zero in every row
+          initial.weights()[0].At(2, 1) = kInf;
+          break;
+        case kNanWeight:
+          initial.weights()[0].At(2, 1) =
+              std::numeric_limits<double>::quiet_NaN();
+          break;
+        case kInfFeature:
+          data.features[7][1] = kInf;
+          break;
+        case kHugeRate:
+          sgd.learning_rate = 1e300;
+          break;
+      }
+      Mlp actual = initial;
+      Mlp expected = initial;
+      SoftmaxTrainer trainer(sgd);
+      ReferenceTrainer reference(sgd);
+      common::Rng actual_rng(34);
+      common::Rng expected_rng(34);
+      const double loss = trainer.Train(actual, data, actual_rng);
+      const double expected_loss =
+          reference.Train(expected, data, expected_rng);
+      const std::string where = std::string(names[input]) + ", " +
+                                std::to_string(shape.hidden.size()) +
+                                " hidden";
+      // Each input does reach the non-finite path.
+      EXPECT_FALSE(AllFinite(expected)) << where;
+      ASSERT_EQ(AllFinite(actual), AllFinite(expected)) << where;
+      if (AllFinite(actual)) {
+        EXPECT_EQ(std::memcmp(&loss, &expected_loss, sizeof loss), 0)
+            << where;
+        EXPECT_TRUE(SameBits(actual, expected)) << where;
+      }
+    }
   }
 }
 
